@@ -160,8 +160,7 @@ pub struct SearchResponse {
     /// is a partial report of the work actually done.
     pub timed_out: bool,
     /// Pruned-evaluator work counters for the scoring stage (all zero
-    /// when the request ran on the exhaustive or Threshold-Algorithm
-    /// path).
+    /// when the request ran on the exhaustive oracle path).
     pub prune: newslink_text::PruneStats,
     /// Intra-query segment fan-out counters for the scoring stage (all
     /// zero when the NS stage ran sequentially).

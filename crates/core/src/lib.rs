@@ -23,7 +23,6 @@ mod cache;
 pub mod config;
 pub mod directory;
 pub mod indexer;
-pub mod live;
 pub mod persist;
 pub mod pipeline;
 pub mod reader;
@@ -31,7 +30,6 @@ pub mod score_explain;
 pub mod searcher;
 pub mod segment;
 pub mod store;
-pub mod ta;
 pub mod wal;
 
 pub use alerts::{AlertMatch, AlertRegistry};
@@ -41,7 +39,6 @@ pub use api::{
 pub use cache::EngineCacheStats;
 pub use config::{CacheConfig, EmbeddingModel, NewsLinkConfig};
 pub use indexer::{doc_ids, index_corpus, index_corpus_sharded, index_corpus_with, NewsLinkIndex};
-pub use live::{LiveHit, LiveNewsLink};
 pub use pipeline::{NewsLink, QueryAnalysis};
 pub use score_explain::{explain_score, ScoreExplanation, SideExplanation, TermContribution};
 pub use searcher::{explain, search, search_batch, QueryOutcome, SearchResult};
@@ -55,7 +52,6 @@ pub use persist::{
 };
 pub use reader::{HeapSegmentReader, MmapSegmentReader, SegmentReader, StorageBackend, StoreOptions};
 pub use store::DurableStore;
-pub use ta::{threshold_algorithm, TaOutcome};
 pub use wal::{Wal, WalRecord};
 
 /// Document ids are minted by the index; re-exported so downstream

@@ -513,49 +513,72 @@ mod tests {
     fn insert_and_delete_mutate_a_built_index() {
         let world = synth::generate(&SynthConfig::small(8));
         let labels = LabelIndex::build(&world.graph);
-        let engine = NewsLink::new(&world.graph, &labels, NewsLinkConfig::default());
         let country = world.graph.label(world.countries[0]);
         let city = world.graph.label(world.cities[0]);
         let docs = vec![
             format!("Officials from {country} signed the accord."),
             format!("A festival in {city} drew visitors."),
         ];
-        let mut index = engine.index_corpus(&docs);
-        assert_eq!(index.doc_count(), 2);
+        let extras = vec![
+            format!("Protests spread across {country} overnight."),
+            format!("Rain delayed the market in {city}."),
+            format!("Leaders of {country} met in {city}."),
+        ];
+        let full_docs: Vec<String> = docs.iter().chain(&extras).cloned().collect();
+        let queries = [format!("news about {country}"), format!("visitors in {city}")];
+        let assert_same = |a: &QueryOutcome, b: &QueryOutcome| {
+            assert!(!b.results.is_empty(), "queries must match something");
+            assert_eq!(a.results.len(), b.results.len());
+            for (x, y) in a.results.iter().zip(&b.results) {
+                assert_eq!(x.doc, y.doc);
+                assert_eq!(x.score.to_bits(), y.score.to_bits());
+                assert_eq!(x.bow.to_bits(), y.bow.to_bits());
+                assert_eq!(x.bon.to_bits(), y.bon.to_bits());
+            }
+        };
 
-        let extra = format!("Protests spread across {country} overnight.");
-        let id = engine.insert_document(&mut index, &extra);
-        assert_eq!(id.0, 2, "fresh id after the build");
-        assert_eq!(index.doc_count(), 3);
-        assert!(index.segment_count() <= engine.config().max_segments);
+        // The default ceiling never compacts here; a ceiling of two makes
+        // `compact_to` merge adjacent segments between inserts.
+        for max_segments in [NewsLinkConfig::default().max_segments, 2] {
+            let cfg = NewsLinkConfig::default().with_max_segments(max_segments);
+            let engine = NewsLink::new(&world.graph, &labels, cfg);
+            let mut index = engine.index_corpus(&docs);
+            assert_eq!(index.doc_count(), 2);
 
-        // The mutated index scores exactly like a fresh build of the same
-        // three documents.
-        let full_docs = vec![docs[0].clone(), docs[1].clone(), extra.clone()];
-        let rebuilt = engine.index_corpus(&full_docs);
-        let q = format!("news about {country}");
-        let a = engine.search(&index, &q, 5);
-        let b = engine.search(&rebuilt, &q, 5);
-        assert_eq!(a.results.len(), b.results.len());
-        for (x, y) in a.results.iter().zip(&b.results) {
-            assert_eq!(x.doc, y.doc);
-            assert_eq!(x.score.to_bits(), y.score.to_bits());
-        }
+            let mut ids = Vec::new();
+            for (i, extra) in extras.iter().enumerate() {
+                let id = engine.insert_document(&mut index, extra);
+                assert_eq!(id.0 as usize, docs.len() + i, "fresh ids after the build");
+                assert!(index.segment_count() <= max_segments);
+                ids.push(id);
+            }
+            assert_eq!(index.doc_count(), full_docs.len());
+            if max_segments == 2 {
+                assert!(index.stats().compactions > 0, "inserts must compact");
+            }
 
-        // Deletion hides the doc immediately and compaction expunges it.
-        assert!(engine.delete_document(&mut index, id));
-        assert!(!engine.delete_document(&mut index, id));
-        assert_eq!(index.doc_count(), 2);
-        let after = engine.search(&index, &q, 5);
-        assert!(after.results.iter().all(|r| r.doc != id));
-        index.compact();
-        assert_eq!(index.tombstone_count(), 0);
-        let compacted = engine.search(&index, &q, 5);
-        let baseline = engine.search(&engine.index_corpus(&docs), &q, 5);
-        assert_eq!(compacted.results.len(), baseline.results.len());
-        for (x, y) in compacted.results.iter().zip(&baseline.results) {
-            assert_eq!(x.doc, y.doc);
-            assert_eq!(x.score.to_bits(), y.score.to_bits());
+            // The mutated index scores exactly like a fresh build of the
+            // same documents.
+            let rebuilt = engine.index_corpus(&full_docs);
+            for q in &queries {
+                assert_same(&engine.search(&index, q, 5), &engine.search(&rebuilt, q, 5));
+            }
+
+            // Deletion hides the doc immediately and compaction expunges it.
+            let id = *ids.last().unwrap();
+            assert!(engine.delete_document(&mut index, id));
+            assert!(!engine.delete_document(&mut index, id));
+            assert_eq!(index.doc_count(), full_docs.len() - 1);
+            for q in &queries {
+                let after = engine.search(&index, q, 5);
+                assert!(after.results.iter().all(|r| r.doc != id));
+            }
+            index.compact();
+            assert_eq!(index.tombstone_count(), 0);
+            let baseline = engine.index_corpus(&full_docs[..full_docs.len() - 1]);
+            for q in &queries {
+                assert_same(&engine.search(&index, q, 5), &engine.search(&baseline, q, 5));
+            }
         }
     }
 

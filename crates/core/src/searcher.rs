@@ -23,7 +23,6 @@ use crate::cache::{EngineCaches, QueryArtifacts};
 use crate::config::NewsLinkConfig;
 use crate::indexer::{embed_one_with, NewsLinkIndex};
 use crate::segment::Side;
-use crate::ta::threshold_algorithm;
 
 /// One blended search result.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,8 +53,8 @@ pub struct QueryOutcome {
     /// The deadline expired between pipeline stages; `results` is empty
     /// and `timer` reports only the stages that ran.
     pub timed_out: bool,
-    /// Pruned-evaluator work counters (all zero on the exhaustive and
-    /// Threshold-Algorithm paths, which do their own accounting).
+    /// Pruned-evaluator work counters (all zero on the exhaustive
+    /// oracle path).
     pub prune: PruneStats,
     /// Intra-query segment fan-out counters (all zero when the NS stage
     /// ran sequentially or took a non-pruned path).
@@ -77,20 +76,6 @@ fn max_normalize_parts(parts: &mut [FxHashMap<DocId, f64>]) {
             }
         }
     }
-}
-
-/// Collapse per-segment maps into one global map. Segments hold disjoint
-/// documents, so this union is exact.
-fn flatten_parts(parts: Vec<FxHashMap<DocId, f64>>) -> FxHashMap<DocId, f64> {
-    let mut out = FxHashMap::default();
-    for m in parts {
-        if out.is_empty() {
-            out = m;
-        } else {
-            out.extend(m);
-        }
-    }
-    out
 }
 
 /// Execute a blended NewsLink query (uncached entry point; the engine's
@@ -156,15 +141,14 @@ pub(crate) fn run_query(
 
     let t_ns = Instant::now();
     let beta = beta_override.unwrap_or(config.beta).clamp(0.0, 1.0);
-    let fan_threads = config.effective_threads(index.segment_count());
-    let search_threads = config.effective_search_threads(index.segment_count());
     let mut prune = PruneStats::default();
     let mut parallel = ParallelStats::default();
 
-    let results = if config.prune_topk && !config.use_threshold_algorithm {
+    let ranked = if config.prune_topk {
         // Block-max pruned blended top-k straight off the posting cursors
         // (bit-identical to the exhaustive oracle below — the escape
         // hatch is `with_prune_topk(false)`).
+        let search_threads = config.effective_search_threads(index.segment_count());
         let (ranked, stats, fan) = index.blended_topk(
             beta,
             &terms,
@@ -176,73 +160,12 @@ pub(crate) fn run_query(
         prune = stats;
         parallel = fan;
         ranked
-            .into_iter()
-            .map(|(score, (doc, bow, bon))| SearchResult {
-                doc,
-                score,
-                bow,
-                bon,
-            })
-            .collect()
-    } else if config.prune_topk {
-        // TA over cursor-driven side scans: each side's per-segment
-        // vectors concatenate into one doc-ascending list whose per-doc
-        // sums are bit-identical to the exhaustive score maps, so ranking
-        // and probing reproduce the oracle path exactly while skipping
-        // its hash-map accumulation. BOW is skipped entirely at β = 1
-        // (the paper's NewsLink(1)); BON at β = 0 (reduces to Lucene).
-        // Node streams are not prose, so BON's BM25 runs without length
-        // normalization (b = 0).
-        let scan = |side, scorer, query_terms: &[String], active: bool| -> Vec<(DocId, f64)> {
-            if !active {
-                return Vec::new();
-            }
-            let mut flat: Vec<(DocId, f64)> = index
-                .side_scan_parts(side, scorer, query_terms, fan_threads)
-                .into_iter()
-                .flatten()
-                .collect();
-            if config.normalize_scores {
-                let max = flat.iter().map(|&(_, s)| s).fold(0.0f64, f64::max);
-                if max > 0.0 {
-                    for (_, s) in flat.iter_mut() {
-                        *s /= max;
-                    }
-                }
-            }
-            flat
-        };
-        let bow_flat = scan(Side::Bow, Bm25::default(), &terms, beta < 1.0);
-        let bon_flat = scan(
-            Side::Bon,
-            Bm25 { k1: 1.2, b: 0.0 },
-            &bon_terms(&embedding),
-            beta > 0.0,
-        );
-        let probe = |flat: &[(DocId, f64)], d: DocId| match flat
-            .binary_search_by_key(&d, |&(doc, _)| doc)
-        {
-            Ok(i) => flat[i].1,
-            Err(_) => 0.0,
-        };
-        let mut bow_ranked = bow_flat.clone();
-        bow_ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut bon_ranked = bon_flat.clone();
-        bon_ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        threshold_algorithm(
-            &bow_ranked,
-            &bon_ranked,
-            |d| probe(&bow_flat, d),
-            |d| probe(&bon_flat, d),
-            beta,
-            k,
-        )
-        .results
     } else {
         // Exhaustive oracle path. Both sides fan out across segments under
         // the global-stats overlay, yielding one global-id-keyed score map
         // per segment (disjoint keys). BOW is skipped entirely at β = 1,
         // as in the paper's NewsLink(1).
+        let fan_threads = config.effective_threads(index.segment_count());
         let mut bow_parts = if beta < 1.0 {
             index.score_side_parts(Side::Bow, Bm25::default(), &terms, fan_threads)
         } else {
@@ -263,73 +186,49 @@ pub(crate) fn run_query(
             max_normalize_parts(&mut bon_parts);
         }
 
-        if config.use_threshold_algorithm {
-            // Ranked-list construction + Fagin's TA (§VI's cited top-k
-            // algorithm); equivalent results with an early-terminating
-            // scan. TA walks both lists globally, so the parts flatten
-            // first.
-            let bow_scores = flatten_parts(bow_parts);
-            let bon_scores = flatten_parts(bon_parts);
-            let mut bow_ranked: Vec<(DocId, f64)> =
-                bow_scores.iter().map(|(&d, &s)| (d, s)).collect();
-            bow_ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-            let mut bon_ranked: Vec<(DocId, f64)> =
-                bon_scores.iter().map(|(&d, &s)| (d, s)).collect();
-            bon_ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-            threshold_algorithm(
-                &bow_ranked,
-                &bon_ranked,
-                |d| bow_scores.get(&d).copied().unwrap_or(0.0),
-                |d| bon_scores.get(&d).copied().unwrap_or(0.0),
-                beta,
-                k,
-            )
-            .results
-        } else {
-            // Per-segment blended top-k, then a top-k merge in segment
-            // order. Segment ranges ascend and `TopK` favors earlier
-            // insertions on ties, so the merged heap reproduces the
-            // monolithic ascending-doc-id scan bit for bit: a document
-            // beaten inside its own segment's top-k can never reach the
-            // global top-k.
-            let nsegs = bow_parts.len().max(bon_parts.len());
-            let empty = FxHashMap::default();
-            let mut merged = TopK::new(k);
-            for si in 0..nsegs {
-                let bow_scores = bow_parts.get(si).unwrap_or(&empty);
-                let bon_scores = bon_parts.get(si).unwrap_or(&empty);
-                let mut docs: Vec<DocId> = bow_scores
-                    .keys()
-                    .chain(bon_scores.keys())
-                    .copied()
-                    .collect();
-                docs.sort_unstable();
-                docs.dedup();
-                let mut seg_topk = TopK::new(k);
-                for doc in docs {
-                    let bow = bow_scores.get(&doc).copied().unwrap_or(0.0);
-                    let bon = bon_scores.get(&doc).copied().unwrap_or(0.0);
-                    let score = (1.0 - beta) * bow + beta * bon;
-                    if score > 0.0 {
-                        seg_topk.push(score, (doc, bow, bon));
-                    }
-                }
-                for (score, item) in seg_topk.into_sorted() {
-                    merged.push(score, item);
+        // Per-segment blended top-k, then a top-k merge in segment
+        // order. Segment ranges ascend and `TopK` favors earlier
+        // insertions on ties, so the merged heap reproduces the
+        // monolithic ascending-doc-id scan bit for bit: a document
+        // beaten inside its own segment's top-k can never reach the
+        // global top-k.
+        let nsegs = bow_parts.len().max(bon_parts.len());
+        let empty = FxHashMap::default();
+        let mut merged = TopK::new(k);
+        for si in 0..nsegs {
+            let bow_scores = bow_parts.get(si).unwrap_or(&empty);
+            let bon_scores = bon_parts.get(si).unwrap_or(&empty);
+            let mut docs: Vec<DocId> = bow_scores
+                .keys()
+                .chain(bon_scores.keys())
+                .copied()
+                .collect();
+            docs.sort_unstable();
+            docs.dedup();
+            let mut seg_topk = TopK::new(k);
+            for doc in docs {
+                let bow = bow_scores.get(&doc).copied().unwrap_or(0.0);
+                let bon = bon_scores.get(&doc).copied().unwrap_or(0.0);
+                let score = (1.0 - beta) * bow + beta * bon;
+                if score > 0.0 {
+                    seg_topk.push(score, (doc, bow, bon));
                 }
             }
-            merged
-                .into_sorted()
-                .into_iter()
-                .map(|(score, (doc, bow, bon))| SearchResult {
-                    doc,
-                    score,
-                    bow,
-                    bon,
-                })
-                .collect()
+            for (score, item) in seg_topk.into_sorted() {
+                merged.push(score, item);
+            }
         }
+        merged.into_sorted()
     };
+    let results = ranked
+        .into_iter()
+        .map(|(score, (doc, bow, bon))| SearchResult {
+            doc,
+            score,
+            bow,
+            bon,
+        })
+        .collect();
     timer.record("ns", t_ns.elapsed());
 
     QueryOutcome {
@@ -618,27 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn threshold_algorithm_matches_exhaustive_ranking() {
-        let (g, li) = setup();
-        let exhaustive_cfg = NewsLinkConfig::default();
-        let ta_cfg = NewsLinkConfig::default().with_threshold_algorithm(true);
-        let idx = index_corpus(&g, &li, &exhaustive_cfg, DOCS);
-        for query in [
-            "Taliban in Pakistan",
-            "Explosions near Peshawar and Lahore",
-            "Kunar conflict",
-        ] {
-            let a = search(&g, &li, &exhaustive_cfg, &idx, query, 3);
-            let b = search(&g, &li, &ta_cfg, &idx, query, 3);
-            assert_eq!(a.results.len(), b.results.len(), "query {query}");
-            for (x, y) in a.results.iter().zip(&b.results) {
-                assert!((x.score - y.score).abs() < 1e-12, "query {query}");
-                assert_eq!(x.doc, y.doc, "query {query}");
-            }
-        }
-    }
-
-    #[test]
     fn batch_search_matches_sequential() {
         let (g, li) = setup();
         let cfg = NewsLinkConfig::default().with_threads(3);
@@ -754,8 +632,8 @@ mod tests {
     #[test]
     fn segmented_search_is_bit_identical_to_monolithic() {
         let (g, li) = setup();
-        for use_ta in [false, true] {
-            let cfg = NewsLinkConfig::default().with_threshold_algorithm(use_ta);
+        for prune in [true, false] {
+            let cfg = NewsLinkConfig::default().with_prune_topk(prune);
             let mono = index_corpus(&g, &li, &cfg, DOCS);
             assert_eq!(mono.segment_count(), 1);
             for segment_docs in [1, 2] {
@@ -774,7 +652,7 @@ mod tests {
                         assert_eq!(
                             x.score.to_bits(),
                             y.score.to_bits(),
-                            "query {q} ta={use_ta} segdocs={segment_docs}"
+                            "query {q} prune={prune} segdocs={segment_docs}"
                         );
                         assert_eq!(x.bow.to_bits(), y.bow.to_bits());
                         assert_eq!(x.bon.to_bits(), y.bon.to_bits());

@@ -33,7 +33,7 @@ use std::sync::OnceLock;
 
 use newslink_embed::{bon_term_counts, codec as embed_codec, DocEmbedding};
 use newslink_text::{
-    blended_scan, maxscore_search_with, query_tf, score_segment, side_scan, Bm25, CollectionStats,
+    blended_scan, maxscore_search_with, query_tf, score_segment, Bm25, CollectionStats,
     DocId, IndexBuilder, InvertedIndex, ParallelStats, PruneStats, SharedFloor, SideSpec, TermId,
 };
 use newslink_util::{Bytes, FxHashMap, FxHashSet, TopK};
@@ -1075,37 +1075,6 @@ impl NewsLinkIndex {
             &mut parallel,
         );
         (ranked, prune, parallel)
-    }
-
-    /// Exhaustive cursor-driven raw scores of one side, one vector per
-    /// segment in segment order, each ascending by (global) doc id with
-    /// per-document sums bit-identical to
-    /// [`NewsLinkIndex::score_side_parts`]'s map entries. Feeds the
-    /// Threshold Algorithm's ranked lists without building hash maps.
-    pub(crate) fn side_scan_parts(
-        &self,
-        side: Side,
-        scorer: Bm25,
-        query_terms: &[String],
-        threads: usize,
-    ) -> Vec<Vec<(DocId, f64)>> {
-        let Some(w) = self.side_work(side, scorer, query_terms, true) else {
-            return Vec::new();
-        };
-        let scan_one = |seg: &IndexSegment| -> Vec<(DocId, f64)> {
-            let spec = self.side_spec(seg, &w);
-            let mut out = Vec::new();
-            let live = self.liveness(seg);
-            side_scan(&spec, |d| live.is_live(d), &mut out);
-            out.into_iter()
-                .map(|(d, s)| (DocId(seg.global_of(d)), s))
-                .collect()
-        };
-        if threads <= 1 || self.segments.len() < 2 {
-            self.segments.iter().map(scan_one).collect()
-        } else {
-            crate::searcher::parallel_map(&self.segments, threads, scan_one)
-        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! Property tests for the block-max pruned evaluator: on arbitrary
-//! corpora, with any blend of β, score normalization, Threshold-Algorithm
-//! routing, segmentation, and tombstones, the pruned path
+//! corpora, with any blend of β, score normalization, segmentation, and
+//! tombstones, the pruned path
 //! (`prune_topk = true`, the default) must return *bit-identical*
 //! results to the exhaustive full-scoring oracle
 //! (`with_prune_topk(false)`). Pruning is a work-avoidance strategy,
@@ -146,8 +146,8 @@ proptest! {
 
     /// The pruned evaluator returns the same `SearchResult` vector as
     /// the exhaustive oracle, bit for bit, across the whole configuration
-    /// surface: β ∈ {0, 0.3, 1}, normalization on/off, TA on/off, one to
-    /// four segments, with and without tombstones, and k from 1 up to
+    /// surface: β ∈ {0, 0.3, 1}, normalization on/off, one to four
+    /// segments, with and without tombstones, and k from 1 up to
     /// well past the corpus size.
     #[test]
     fn pruned_path_is_bit_identical_to_exhaustive(
@@ -156,7 +156,6 @@ proptest! {
         beta_i in 0usize..3,
         k_i in 0usize..3,
         normalize in any::<bool>(),
-        use_ta in any::<bool>(),
         segment_docs in 0usize..4,
         do_delete in any::<bool>(),
         delete_mask in prop::collection::vec(any::<bool>(), 10..11),
@@ -166,7 +165,6 @@ proptest! {
         let (g, li) = world();
         let mut pruned_cfg = NewsLinkConfig::default()
             .with_beta(beta)
-            .with_threshold_algorithm(use_ta)
             .with_segment_docs(segment_docs);
         pruned_cfg.normalize_scores = normalize;
         prop_assert!(pruned_cfg.prune_topk, "pruning must be the default");
@@ -189,16 +187,16 @@ proptest! {
         prop_assert_eq!(
             pruned.results.len(),
             oracle.results.len(),
-            "result count (β={} k={} norm={} ta={} segdocs={})",
-            beta, k, normalize, use_ta, segment_docs
+            "result count (β={} k={} norm={} segdocs={})",
+            beta, k, normalize, segment_docs
         );
         for (x, y) in pruned.results.iter().zip(&oracle.results) {
             prop_assert_eq!(x.doc, y.doc, "doc order for β={} k={}", beta, k);
             prop_assert_eq!(
                 x.score.to_bits(),
                 y.score.to_bits(),
-                "score bits for doc {} (β={} k={} norm={} ta={} segdocs={})",
-                x.doc.0, beta, k, normalize, use_ta, segment_docs
+                "score bits for doc {} (β={} k={} norm={} segdocs={})",
+                x.doc.0, beta, k, normalize, segment_docs
             );
             prop_assert_eq!(x.bow.to_bits(), y.bow.to_bits(), "bow bits for doc {}", x.doc.0);
             prop_assert_eq!(x.bon.to_bits(), y.bon.to_bits(), "bon bits for doc {}", x.doc.0);
@@ -222,7 +220,7 @@ proptest! {
     }
 
     /// The escape hatch really is exhaustive: with pruning off, every
-    /// pruning counter stays zero; with it on (and no TA), the evaluator
+    /// pruning counter stays zero; with it on, the evaluator
     /// reports its work.
     #[test]
     fn prune_counters_only_tick_on_the_pruned_path(

@@ -311,6 +311,11 @@ fn short_writes_fail_over_bit_identical() {
     ]];
     let cfg = ResilienceConfig {
         retry_budget: 1.0,
+        // The prober's first `/healthz` is short-written too; were one
+        // failed probe enough to mark the replica down, it could win the
+        // race against the first search, and no request would ever fail
+        // over. The failover under test must happen inside a request.
+        probe_failures: u32::MAX,
         ..ResilienceConfig::default()
     };
     with_chaos_cluster(plans, cfg, None, |ctx| {

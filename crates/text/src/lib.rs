@@ -11,9 +11,7 @@
 pub mod codec;
 pub mod dictionary;
 pub mod inverted;
-pub mod live;
 pub mod maxscore;
-pub mod positions;
 pub mod score;
 pub mod search;
 
@@ -27,10 +25,8 @@ pub use codec::{
     load_index, read_index, read_index_columnar, read_index_columnar_lazy, save_index,
     write_index, write_index_columnar,
 };
-pub use live::{GlobalId, SegmentedIndex};
 pub use maxscore::{
-    blended_scan, maxscore_search, maxscore_search_with, side_scan, Floor, ParallelStats,
+    blended_scan, maxscore_search, maxscore_search_with, Floor, ParallelStats,
     PruneStats, SharedFloor, SideSpec,
 };
-pub use positions::{PositionalBuilder, PositionalIndex};
 pub use search::{query_tf, score_segment, Hit, Searcher};

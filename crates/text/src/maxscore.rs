@@ -1,8 +1,8 @@
 //! Document-at-a-time top-k with MaxScore and block-max pruning.
 //!
 //! The paper's NS component "employ\[s\] existing top-k ranking algorithms
-//! \[Threshold Algorithm; VSM\]" (§VI). This module provides the
-//! index-pruning half of that machinery:
+//! \[Threshold Algorithm; VSM\]" (§VI). This module provides that
+//! machinery as exact block-max pruned evaluators:
 //!
 //! - [`maxscore_search`] / [`maxscore_search_with`] — single-side BM25
 //!   top-k with Turtle & Flood's MaxScore term partition, upgraded with
@@ -16,8 +16,6 @@
 //!   BOW and the BON posting lists with the combined bound
 //!   `(1-β)·bow_bound + β·bon_bound`, producing the blended top-k
 //!   directly, without materializing per-document score maps.
-//! - [`side_scan`] — an exhaustive cursor scan of one side used by the
-//!   Threshold Algorithm path to build its sorted-access lists.
 //!
 //! ## Exactness
 //!
@@ -668,64 +666,6 @@ pub fn blended_scan(
         .sum::<u64>();
 }
 
-/// Exhaustive cursor-driven scan of one side over one segment: the raw
-/// (unnormalized) score of every live matching document, ascending by
-/// local doc id, each accumulated in the canonical term order — the
-/// per-document sums are bit-identical to
-/// [`crate::search::score_segment`]'s map entries. Feeds the Threshold
-/// Algorithm's sorted-access lists without materializing hash maps.
-/// `spec.norm` is ignored here; callers normalize after finding the
-/// global max.
-pub fn side_scan(
-    spec: &SideSpec<'_>,
-    live: impl Fn(DocId) -> bool,
-    out: &mut Vec<(DocId, f64)>,
-) {
-    // `qtf · idf` folded once per term (bit-identical to evaluating the
-    // whole product per posting — see [`Bm25::contribution_from_partial`]).
-    let mut cursors: Vec<(PostingCursor<'_>, f64)> = spec
-        .terms
-        .iter()
-        .filter(|(list, _, _)| !list.is_empty())
-        .map(|&(list, qtf, df)| (list.cursor(), spec.scorer.term_partial(spec.stats, df, qtf)))
-        .collect();
-    loop {
-        let mut pivot: Option<DocId> = None;
-        for (c, _) in &cursors {
-            if let Some(d) = c.current_doc() {
-                pivot = Some(match pivot {
-                    Some(p) if p <= d => p,
-                    _ => d,
-                });
-            }
-        }
-        let Some(doc) = pivot else { break };
-        if live(doc) {
-            let mut raw = 0.0;
-            for (c, partial) in &cursors {
-                if let Some(p) = c.current() {
-                    if p.doc == doc {
-                        raw += spec.scorer.contribution_from_partial(
-                            spec.stats,
-                            spec.index.doc_len(doc),
-                            p.tf,
-                            *partial,
-                        );
-                    }
-                }
-            }
-            if raw != 0.0 {
-                out.push((doc, raw));
-            }
-        }
-        for (c, _) in cursors.iter_mut() {
-            if c.current_doc() == Some(doc) {
-                c.advance();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -990,44 +930,5 @@ mod tests {
             stats.scored < stats.candidates,
             "expected pruning: {stats:?}"
         );
-    }
-
-    #[test]
-    fn side_scan_matches_score_segment_bitwise() {
-        let (index, _) = random_index(13, 300, 25);
-        for qseed in 0..10u64 {
-            let mut rng = DetRng::new(5000 + qseed);
-            let qlen = rng.range(1, 5);
-            let query: Vec<String> = (0..qlen).map(|_| format!("t{}", rng.zipf(25, 1.2))).collect();
-            let qtf = query_tf(&query);
-            let spec = spec_for(&index, Bm25::default(), &qtf, 1.0);
-            let mut got = Vec::new();
-            side_scan(&spec, |_| true, &mut got);
-
-            let dict = index.dictionary();
-            let mut df = FxHashMap::default();
-            for term in qtf.keys() {
-                if let Some(id) = dict.get(term) {
-                    df.insert(*term, dict.doc_freq(id));
-                }
-            }
-            let want = score_segment(
-                Bm25::default(),
-                &index,
-                CollectionStats::from_index(&index),
-                &qtf,
-                &df,
-                |_| true,
-            );
-            assert_eq!(got.len(), want.len(), "query {query:?}");
-            assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "ascending doc ids");
-            for (doc, raw) in got {
-                assert_eq!(
-                    raw.to_bits(),
-                    want.get(&doc).copied().unwrap_or(0.0).to_bits(),
-                    "query {query:?} doc {doc:?}"
-                );
-            }
-        }
     }
 }

@@ -108,7 +108,7 @@ impl<'i, S: Scorer> Searcher<'i, S> {
     }
 
     /// Random-access scoring: the score of one specific document for a
-    /// term query (the Threshold Algorithm's random-access probe).
+    /// term query.
     pub fn score_doc<T: AsRef<str>>(&self, query_terms: &[T], doc: DocId) -> f64 {
         let qtf = query_tf(query_terms);
         let mut score = 0.0;

@@ -7,6 +7,9 @@ cargo build --release --workspace
 # Examples and bench targets (harness = false) are not exercised by
 # `cargo test`; compile them so drift is caught here.
 cargo build --release --workspace --examples --benches
+# The served-traffic benchmark is its own cargo workspace, so the
+# workspace build above cannot see core API changes that break it.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 # Lint gate: the workspace (and its vendored shims) must be clippy-clean.
 cargo clippy --workspace --all-targets -- -D warnings
 # Unsafe containment: the single audited `unsafe` module is
@@ -31,6 +34,7 @@ if ! grep -q 'deny(unsafe_op_in_unsafe_fn)' crates/util/src/lib.rs; then
   exit 1
 fi
 cargo test -q --workspace
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 # The serving layer's e2e suite is the HTTP smoke gate: real TCP,
 # load-shed, deadline and graceful-drain coverage.
 cargo test -q -p newslink-serve --test http_e2e
@@ -44,7 +48,7 @@ cargo test -q -p newslink-core --test crash_recovery
 # Durable serving e2e: restart recovery, degraded /healthz, /admin/snapshot.
 cargo test -q -p newslink-serve --test durability_e2e
 # Pruning-parity property suite: the block-max pruned evaluator must be
-# bit-identical to the exhaustive oracle across β, normalization, TA,
+# bit-identical to the exhaustive oracle across β, normalization,
 # segmentation, tombstones and k.
 cargo test -q -p newslink-core --test prune_prop
 # Parallel-parity property suite: the intra-query segment fan-out
