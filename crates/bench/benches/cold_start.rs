@@ -3,7 +3,7 @@
 //!
 //! Builds a ~10k-doc corpus once, saves a format-v4 snapshot, then
 //! measures **time-to-first-query** per backend: open the snapshot
-//! through its [`SegmentReader`] and answer one search. The heap
+//! through [`StorageBackend::open`] and answer one search. The heap
 //! backend reads and checksums the whole file before it can serve; the
 //! mmap backend maps the file, validates the envelope, and faults pages
 //! in as the first query touches them.
@@ -15,7 +15,10 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use newslink_core::{FsDirectory, NewsLink, NewsLinkConfig, StorageBackend};
+use newslink_core::{
+    read_newslink_index_bytes, FsDirectory, NewsLink, NewsLinkConfig, NewsLinkIndex,
+    StorageBackend,
+};
 use newslink_kg::{synth, LabelIndex, SynthConfig};
 
 /// Best-of-`reps` wall time of `f`.
@@ -96,18 +99,16 @@ fn main() {
 
     let mut rows: Vec<(StorageBackend, Duration, Duration)> = Vec::new();
     for backend in [StorageBackend::Heap, StorageBackend::Mmap] {
-        let reader = backend.reader();
-        let (open_only, _) = best_of(reps, || {
-            let (idx, report) = reader
-                .read_snapshot(&dir, "index.nlnk", &world.graph, false)
-                .expect("snapshot loads");
+        let open = || -> NewsLinkIndex {
+            let bytes = backend.open(&dir, "index.nlnk").expect("snapshot opens");
+            let (idx, report) =
+                read_newslink_index_bytes(&world.graph, &bytes, false).expect("snapshot loads");
             assert!(!report.degraded());
             idx
-        });
+        };
+        let (open_only, _) = best_of(reps, open);
         let (first_query, loaded) = best_of(reps, || {
-            let (idx, _) = reader
-                .read_snapshot(&dir, "index.nlnk", &world.graph, false)
-                .expect("snapshot loads");
+            let idx = open();
             let out = engine.search(&idx, &query, 10);
             assert_eq!(out.results.len(), reference.results.len());
             idx

@@ -24,7 +24,7 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use newslink_core::{Directory, FsDirectory};
+use newslink_core::{Directory, FsDirectory, StorageBackend};
 use newslink_kg::{
     ingest_tsv, synth, write_graph_tsv, FstLabelIndex, IngestConfig, LabelIndex, SynthConfig,
 };
@@ -144,10 +144,11 @@ fn run_ingest(target: usize) -> String {
     dir.atomic_write("labels.fst", &blob).unwrap();
 
     let (heap_open, heap_idx) = timed(|| {
-        FstLabelIndex::decode(dir.read("labels.fst").unwrap()).expect("heap decode")
+        let bytes = StorageBackend::Heap.open(&dir, "labels.fst").unwrap();
+        FstLabelIndex::decode(bytes).expect("heap decode")
     });
     let (mmap_open, mmap_idx) = timed(|| {
-        let bytes = dir.open_bytes("labels.fst").unwrap();
+        let bytes = StorageBackend::Mmap.open(&dir, "labels.fst").unwrap();
         assert!(bytes.is_mapped(), "FsDirectory must mmap");
         FstLabelIndex::decode(bytes).expect("mmap decode")
     });

@@ -105,7 +105,7 @@ fn run_scenario(
 
         // Resilience counters from the router's own /metrics endpoint.
         let (status, text) =
-            client::request(addr, "GET", "/metrics", "").expect("metrics fetch");
+            client::request(addr, "GET", "/v1/metrics", "").expect("metrics fetch");
         assert_eq!(status, 200, "{text}");
         let metrics: serde::Value = serde_json::from_str(&text).expect("metrics json");
         let res = metrics

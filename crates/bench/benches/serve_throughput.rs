@@ -2,7 +2,7 @@
 //!
 //! Starts one server over a synthetic world and measures requests per
 //! second at client concurrency 1, 8 and 64 — every request a full TCP
-//! connect + HTTP round-trip against `POST /search` (distinct queries,
+//! connect + HTTP round-trip against `POST /v1/search` (distinct queries,
 //! so the engine really scores) plus a warm-cache pass (repeated query,
 //! served by the whole-query memo) to isolate protocol overhead.
 //!
@@ -88,7 +88,7 @@ fn run_level(addr: std::net::SocketAddr, bodies: &[String], concurrency: usize, 
                     break;
                 }
                 let body = &bodies[i % bodies.len()];
-                match client::request(addr, "POST", "/search", body) {
+                match client::request(addr, "POST", "/v1/search", body) {
                     Ok((200, _)) => {}
                     // 429s count as errors here: the bench sizes its
                     // queue to admit the full offered load.

@@ -24,8 +24,8 @@ use std::process::ExitCode;
 
 use args::Args;
 use newslink_core::{
-    load_newslink_index, save_newslink_index, Directory, FsDirectory, NewsLink, NewsLinkConfig,
-    NewsLinkIndex, StorageBackend, StoreOptions,
+    load_newslink_index, read_newslink_index_bytes, save_newslink_index, Directory, FsDirectory,
+    NewsLink, NewsLinkConfig, NewsLinkIndex, StorageBackend,
 };
 use newslink_corpus::{generate_corpus, CorpusConfig, CorpusFlavor};
 use newslink_embed::{describe_path, summarize_paths};
@@ -111,10 +111,10 @@ commands:
   stats           --world kg.tsv
 ";
 
-/// Parse `--storage {heap,mmap}` (default heap).
-fn parse_storage(args: &Args) -> Result<StorageBackend, String> {
+/// Parse `--storage {heap,mmap}`, falling back to `default`.
+fn parse_storage(args: &Args, default: StorageBackend) -> Result<StorageBackend, String> {
     match args.get("storage") {
-        None => Ok(StorageBackend::default()),
+        None => Ok(default),
         Some(s) => StorageBackend::parse(s)
             .ok_or_else(|| format!("unknown --storage {s:?} (expected heap or mmap)")),
     }
@@ -167,19 +167,11 @@ fn load_index_with(
     path: &str,
     backend: StorageBackend,
 ) -> Result<NewsLinkIndex, String> {
-    let p = Path::new(path);
-    let parent = match p.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d,
-        _ => Path::new("."),
-    };
-    let name = p
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| format!("bad index path {path:?}"))?;
-    let dir = FsDirectory::create(parent).map_err(|e| format!("opening {path}: {e}"))?;
-    let (index, _report) = backend
-        .reader()
-        .read_snapshot(&dir, name, graph, false)
+    let (dir, name) = blob_dir(path)?;
+    let bytes = backend
+        .open(&dir, &name)
+        .map_err(|e| format!("opening {path}: {e}"))?;
+    let (index, _report) = read_newslink_index_bytes(graph, &bytes, false)
         .map_err(|e| format!("loading index {path} ({backend}): {e}"))?;
     Ok(index)
 }
@@ -234,7 +226,7 @@ fn ingest_tsv_cmd(args: &Args) -> Result<(), String> {
     check_flags(args, &["input", "out", "spill-dir", "run-bytes", "strict", "storage"])?;
     let input = args.require("input")?;
     let out = args.require("out")?;
-    let backend = parse_storage(args)?;
+    let backend = parse_storage(args, StorageBackend::Heap)?;
     let mut cfg = IngestConfig::default();
     if let Some(d) = args.get("spill-dir") {
         cfg.spill_dir = Some(std::path::PathBuf::from(d));
@@ -250,11 +242,9 @@ fn ingest_tsv_cmd(args: &Args) -> Result<(), String> {
         .map_err(|e| format!("writing {out}: {e}"))?;
     // Verification reopen through the requested backend: prove the blob
     // serves the way it was built.
-    let bytes = match backend {
-        StorageBackend::Mmap => dir.open_bytes(&name),
-        _ => dir.read(&name),
-    }
-    .map_err(|e| format!("reopening {out}: {e}"))?;
+    let bytes = backend
+        .open(&dir, &name)
+        .map_err(|e| format!("reopening {out}: {e}"))?;
     let reopened =
         FstLabelIndex::decode(bytes).map_err(|e| format!("verifying {out} ({backend}): {e}"))?;
     if reopened.node_meta_count() != index.node_meta_count() {
@@ -278,17 +268,11 @@ fn resolve_cmd(args: &Args) -> Result<(), String> {
     let path = args.require("index")?;
     // Default mmap: resolution is the cold-start path the automaton
     // exists for, and the mapping serves without decoding.
-    let backend = match args.get("storage") {
-        None => StorageBackend::Mmap,
-        Some(s) => StorageBackend::parse(s)
-            .ok_or_else(|| format!("unknown --storage {s:?} (expected heap or mmap)"))?,
-    };
+    let backend = parse_storage(args, StorageBackend::Mmap)?;
     let (dir, name) = blob_dir(path)?;
-    let bytes = match backend {
-        StorageBackend::Mmap => dir.open_bytes(&name),
-        _ => dir.read(&name),
-    }
-    .map_err(|e| format!("opening {path}: {e}"))?;
+    let bytes = backend
+        .open(&dir, &name)
+        .map_err(|e| format!("opening {path}: {e}"))?;
     let index = FstLabelIndex::decode(bytes).map_err(|e| format!("loading {path}: {e}"))?;
     let print_nodes = |surface: &str, nodes: &[newslink_kg::NodeId]| {
         for &n in nodes {
@@ -357,7 +341,7 @@ fn build_index(args: &Args) -> Result<(), String> {
         args,
         &["world", "corpus", "beta", "segment-docs", "storage", "resolver", "out"],
     )?;
-    let backend = parse_storage(args)?;
+    let backend = parse_storage(args, StorageBackend::Heap)?;
     let graph = load_world(args)?;
     let texts = load_corpus_file(args.require("corpus")?)?;
     let beta: f64 = args.get_parsed("beta", 0.2)?;
@@ -619,7 +603,7 @@ fn serve_standalone(args: &Args) -> Result<(), String> {
         }
     }
     let stripe = parse_stripe(args)?;
-    let backend = parse_storage(args)?;
+    let backend = parse_storage(args, StorageBackend::Heap)?;
     let graph = load_world(args)?;
     let texts = load_corpus_file(args.require("corpus")?)?;
     let beta: f64 = args.get_parsed("beta", 0.2)?;
@@ -666,9 +650,8 @@ fn serve_standalone(args: &Args) -> Result<(), String> {
                     }
                 })
             };
-            let options = StoreOptions::new().backend(backend);
             let (store, index) =
-                newslink_core::DurableStore::open_with(&engine, dir_path, &options, seed)
+                newslink_core::DurableStore::open_with(&engine, dir_path, backend, seed)
                     .map_err(|e| format!("opening data dir {dir}: {e}"))?;
             let report = store.report();
             if report.degraded() {

@@ -1,27 +1,40 @@
-//! [`Directory`]: the storage layer's file-system seam.
+//! [`Directory`]: the storage layer's file-system seam, and
+//! [`StorageBackend`]: the one place that decides whether a blob is
+//! copied into the heap or served from a memory mapping.
 //!
 //! Snapshot I/O goes through a small named-blob abstraction instead of
 //! raw paths, so the same persistence code runs against a real directory
 //! ([`FsDirectory`] — crash-atomic writes, optional memory-mapped reads)
 //! or an in-memory map ([`RamDirectory`] — unit tests and failpoint
-//! harnesses that want no disk at all). The two read methods encode the
-//! storage-backend choice:
+//! harnesses that want no disk at all). The two read methods are the
+//! two backends:
 //!
 //! - [`Directory::read`] always returns *heap* bytes — the file copied
-//!   into one owned buffer.
+//!   into one owned buffer ([`StorageBackend::Heap`]).
 //! - [`Directory::open_bytes`] returns the cheapest zero-copy view the
 //!   directory can offer: a shared memory mapping for [`FsDirectory`],
-//!   a shared heap buffer for [`RamDirectory`]. Slices taken from the
-//!   returned [`Bytes`] keep the backing alive.
+//!   a shared heap buffer for [`RamDirectory`]
+//!   ([`StorageBackend::Mmap`]). Slices taken from the returned
+//!   [`Bytes`] keep the backing alive.
+//!
+//! Callers never pick between the two by hand: [`StorageBackend::open`]
+//! does, and the bytes it returns go straight to a decoder
+//! ([`read_newslink_index_bytes`](crate::persist::read_newslink_index_bytes)
+//! for snapshots, `FstLabelIndex::decode` for label blobs). Both
+//! backends decode **bit-identically** — same decoder, same bytes; only
+//! the residence of those bytes differs. Version-3 snapshots load on
+//! either backend (the v3 decoder copies as it walks — format, not
+//! backend, decides).
 //!
 //! Writes are atomic-by-name: [`Directory::atomic_write`] publishes the
 //! whole blob or nothing (temp file + fsync + rename on disk, a single
 //! map insert in RAM), so a reader never observes a torn file. Because
 //! replacement happens by *rename*, an open memory mapping keeps reading
-//! the old inode — live [`MmapSegmentReader`](crate::reader) snapshots
-//! stay valid across checkpoints.
+//! the old inode — a live mmap-backed index stays valid across
+//! checkpoints.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -34,7 +47,7 @@ use crate::persist::atomic_write_file;
 ///
 /// Implementations must make [`atomic_write`](Directory::atomic_write)
 /// all-or-nothing with respect to concurrent readers of the same name.
-pub trait Directory: Send + Sync + std::fmt::Debug {
+pub trait Directory: Send + Sync + fmt::Debug {
     /// Read a whole blob into owned heap bytes.
     fn read(&self, name: &str) -> io::Result<Bytes>;
 
@@ -53,12 +66,58 @@ pub trait Directory: Send + Sync + std::fmt::Debug {
     fn remove(&self, name: &str) -> io::Result<()>;
 }
 
+/// Which residence a blob's bytes get when it is opened: the
+/// `--storage {heap,mmap}` choice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum StorageBackend {
+    /// Copy the blob into one owned heap buffer.
+    #[default]
+    Heap,
+    /// Memory-map the blob; zero-copy for version-4 snapshots and label
+    /// automata.
+    Mmap,
+}
+
+impl StorageBackend {
+    /// The CLI spelling (`--storage {heap,mmap}`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Self::Heap => "heap",
+            Self::Mmap => "mmap",
+        }
+    }
+
+    /// Parse the CLI spelling.
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "heap" => Some(Self::Heap),
+            "mmap" => Some(Self::Mmap),
+            _ => None,
+        }
+    }
+
+    /// Open the blob `name` in `dir` with this backend's residence:
+    /// [`Directory::read`] for heap, [`Directory::open_bytes`] for mmap.
+    pub fn open(self, dir: &dyn Directory, name: &str) -> io::Result<Bytes> {
+        match self {
+            Self::Heap => dir.read(name),
+            Self::Mmap => dir.open_bytes(name),
+        }
+    }
+}
+
+impl fmt::Display for StorageBackend {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
 /// A [`Directory`] over one real file-system directory.
 ///
 /// `read` copies the file into the heap; `open_bytes` memory-maps it
 /// (empty files map to the empty region). `atomic_write` is the
 /// temp-file + fsync + rename protocol of
-/// [`atomic_write_file`](crate::persist::atomic_write_file).
+/// [`atomic_write_file`].
 #[derive(Debug, Clone)]
 pub struct FsDirectory {
     root: PathBuf,
@@ -229,6 +288,42 @@ mod tests {
         let h = dir.read("m").unwrap();
         assert!(!h.is_mapped());
         assert_eq!(h.heap_bytes(), 12);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn backend_parsing_round_trips() {
+        for b in [StorageBackend::Heap, StorageBackend::Mmap] {
+            assert_eq!(StorageBackend::parse(b.as_str()), Some(b));
+            assert_eq!(b.to_string(), b.as_str());
+        }
+        assert_eq!(StorageBackend::parse("disk"), None);
+        assert_eq!(StorageBackend::default(), StorageBackend::Heap);
+
+        // RAM directories have nothing to map: both backends share the
+        // stored buffer.
+        let ram = RamDirectory::new();
+        ram.atomic_write("blob", b"ram bytes").unwrap();
+        for b in [StorageBackend::Heap, StorageBackend::Mmap] {
+            let bytes = b.open(&ram, "blob").unwrap();
+            assert!(!bytes.is_mapped(), "{b}");
+            assert_eq!(&*bytes, b"ram bytes", "{b}");
+        }
+        // On disk the backend decides the residence.
+        let root = std::env::temp_dir().join(format!(
+            "newslink_dir_backend_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let fs = FsDirectory::create(&root).unwrap();
+        fs.atomic_write("blob", b"disk bytes").unwrap();
+        let heap = StorageBackend::Heap.open(&fs, "blob").unwrap();
+        assert!(!heap.is_mapped());
+        assert_eq!(&*heap, b"disk bytes");
+        let mapped = StorageBackend::Mmap.open(&fs, "blob").unwrap();
+        assert!(mapped.is_mapped());
+        assert_eq!(&*mapped, b"disk bytes");
+        assert!(StorageBackend::Mmap.open(&fs, "missing").is_err());
         std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -10,9 +10,9 @@
 //!   the global-stats scoring overlay;
 //! - [`searcher`] — Equation 3 blended scoring, per-segment fan-out,
 //!   top-k merge, explanations;
-//! - [`directory`] / [`reader`] — the storage seam: named-blob
-//!   directories (file-system or in-memory) and heap/mmap snapshot
-//!   readers;
+//! - [`directory`] — the storage seam: named-blob directories
+//!   (file-system or in-memory) and the heap-or-mmap
+//!   [`StorageBackend`] choice;
 //! - [`pipeline`] — the [`NewsLink`] facade.
 
 #![deny(unsafe_code)]
@@ -25,7 +25,6 @@ pub mod directory;
 pub mod indexer;
 pub mod persist;
 pub mod pipeline;
-pub mod reader;
 pub mod score_explain;
 pub mod searcher;
 pub mod segment;
@@ -43,14 +42,11 @@ pub use pipeline::{NewsLink, QueryAnalysis};
 pub use score_explain::{explain_score, ScoreExplanation, SideExplanation, TermContribution};
 pub use searcher::{explain, search, search_batch, QueryOutcome, SearchResult};
 pub use segment::{IndexSegment, IndexStats, Side, SideOverlay};
-pub use directory::{Directory, FsDirectory, RamDirectory};
+pub use directory::{Directory, FsDirectory, RamDirectory, StorageBackend};
 pub use persist::{
-    atomic_write_file, load_label_fst, load_newslink_index, load_newslink_index_tolerant,
-    read_newslink_index, read_newslink_index_bytes, read_newslink_index_tolerant, save_label_fst,
-    save_newslink_index, segment_byte_spans, write_newslink_index, write_newslink_index_v3,
-    LoadReport, PersistError, LABEL_FST_BLOB,
+    atomic_write_file, load_newslink_index, read_newslink_index_bytes, save_newslink_index,
+    segment_byte_spans, write_newslink_index, write_newslink_index_v3, LoadReport, PersistError,
 };
-pub use reader::{HeapSegmentReader, MmapSegmentReader, SegmentReader, StorageBackend, StoreOptions};
 pub use store::DurableStore;
 pub use wal::{Wal, WalRecord};
 

@@ -41,9 +41,9 @@
 //!
 //! - **Detection**: a bit flip anywhere fails a CRC instead of
 //!   deserializing into silently wrong postings.
-//! - **Isolation**: [`read_newslink_index_tolerant`] quarantines damaged
-//!   segments and loads the rest, reporting what was lost in a
-//!   [`LoadReport`].
+//! - **Isolation**: a *tolerant* [`read_newslink_index_bytes`]
+//!   quarantines damaged segments and loads the rest, reporting what was
+//!   lost in a [`LoadReport`].
 //!
 //! [`save_newslink_index`] is crash-atomic: it writes `<path>.tmp`,
 //! fsyncs the file, renames it over `path` and fsyncs the parent
@@ -608,46 +608,22 @@ fn parse_segment_v4(
     ))
 }
 
-/// Deserialize an index, verifying it was built against `graph` and that
-/// every frame checksum and structural invariant holds. Any damage —
-/// one flipped bit anywhere — fails the whole load; use
-/// [`read_newslink_index_tolerant`] to salvage what survives.
+/// Deserialize an index from a whole-file byte region, verifying it was
+/// built against `graph` and that every checksum and structural
+/// invariant holds, dispatching on the format version (3 or 4). This is
+/// the storage layer's one entry point: hand it a memory-mapped
+/// [`Bytes`] and a v4 snapshot loads zero-copy — posting data and the
+/// encoded doc store stay views of the mapping.
 ///
-/// Reads the stream to its end, then dispatches on the version byte
-/// (the v4 layout is directory-addressed and needs random access).
-pub fn read_newslink_index<R: Read>(
-    graph: &KnowledgeGraph,
-    input: &mut R,
-) -> Result<NewsLinkIndex, PersistError> {
-    let mut buf = Vec::new();
-    input.read_to_end(&mut buf)?;
-    read_newslink_index_bytes(graph, &Bytes::from_vec(buf), false).map(|(index, _)| index)
-}
-
-/// Deserialize an index in degraded mode: segments that fail their
-/// checksum or validation are *quarantined* (skipped) rather than fatal,
-/// and tombstones pointing into quarantined segments are dropped. The
+/// Strict (`tolerant == false`): any damage — one flipped bit anywhere —
+/// fails the whole load. Tolerant: segments that fail their checksum or
+/// validation are *quarantined* (skipped) rather than fatal, and
+/// tombstones pointing into quarantined segments are dropped. The
 /// envelope — magic, version, graph fingerprint, the header frame and
 /// (v4) the section directory + footer — must still be intact; without
-/// the allocator and manifest there is nothing safe to serve.
-///
-/// The returned [`LoadReport`] says exactly what was lost;
+/// the allocator and manifest there is nothing safe to serve. The
+/// returned [`LoadReport`] says exactly what was lost;
 /// [`LoadReport::degraded`] is the "page the operator" bit.
-pub fn read_newslink_index_tolerant<R: Read>(
-    graph: &KnowledgeGraph,
-    input: &mut R,
-) -> Result<(NewsLinkIndex, LoadReport), PersistError> {
-    let mut buf = Vec::new();
-    input.read_to_end(&mut buf)?;
-    read_newslink_index_bytes(graph, &Bytes::from_vec(buf), true)
-}
-
-/// Deserialize an index from a whole-file byte region, dispatching on
-/// the format version (3 or 4). This is the storage layer's entry
-/// point: hand it a memory-mapped [`Bytes`] and a v4 snapshot loads
-/// zero-copy — posting data and the encoded doc store stay views of the
-/// mapping. `tolerant` selects quarantine-and-continue over
-/// fail-on-first-damage.
 pub fn read_newslink_index_bytes(
     graph: &KnowledgeGraph,
     bytes: &Bytes,
@@ -992,54 +968,15 @@ pub fn load_newslink_index(
     graph: &KnowledgeGraph,
     path: &Path,
 ) -> Result<NewsLinkIndex, PersistError> {
-    let mut f = io::BufReader::new(std::fs::File::open(path)?);
-    read_newslink_index(graph, &mut f)
-}
-
-/// Blob name of the label-automaton artifact inside a [`Directory`].
-pub const LABEL_FST_BLOB: &str = "labels.fst";
-
-/// Publish the FST label index into `dir` under [`LABEL_FST_BLOB`],
-/// atomically. The blob is self-checksummed (per-section XXH64 plus a
-/// CRC-framed directory, same discipline as the v4 snapshot), so
-/// [`load_label_fst`] detects any at-rest damage.
-pub fn save_label_fst(
-    dir: &dyn crate::directory::Directory,
-    index: &newslink_kg::FstLabelIndex,
-) -> Result<(), PersistError> {
-    dir.atomic_write(LABEL_FST_BLOB, &index.encode())?;
-    Ok(())
-}
-
-/// Open the label automaton from `dir` through the zero-copy seam:
-/// file-backed directories hand back a memory mapping, so the FSTs, the
-/// postings arena and the node table serve straight from the page cache
-/// — cold-start label resolution without decoding. Every section's
-/// checksum is verified before the index is handed out; damage surfaces
-/// as [`PersistError::Corrupt`] naming the failing section.
-pub fn load_label_fst(
-    dir: &dyn crate::directory::Directory,
-) -> Result<newslink_kg::FstLabelIndex, PersistError> {
-    let bytes = dir.open_bytes(LABEL_FST_BLOB)?;
-    newslink_kg::FstLabelIndex::decode(bytes)
-        .map_err(|e| PersistError::Corrupt(format!("label automaton: {e}")))
-}
-
-/// Load from a file in degraded mode (see
-/// [`read_newslink_index_tolerant`]).
-pub fn load_newslink_index_tolerant(
-    graph: &KnowledgeGraph,
-    path: &Path,
-) -> Result<(NewsLinkIndex, LoadReport), PersistError> {
-    let mut f = io::BufReader::new(std::fs::File::open(path)?);
-    read_newslink_index_tolerant(graph, &mut f)
+    let bytes = Bytes::from_vec(std::fs::read(path)?);
+    read_newslink_index_bytes(graph, &bytes, false).map(|(index, _)| index)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::NewsLinkConfig;
-    use crate::directory::FsDirectory;
+    use crate::directory::{Directory, FsDirectory};
     use crate::indexer::index_corpus;
     use crate::searcher::search;
     use newslink_kg::{EntityType, GraphBuilder, LabelIndex};
@@ -1064,6 +1001,19 @@ mod tests {
         "Pakistan held talks in Khyber.",
         "A story with no entities whatsoever.",
     ];
+
+    /// Strict load of an in-memory image.
+    fn strict(g: &KnowledgeGraph, buf: &[u8]) -> Result<NewsLinkIndex, PersistError> {
+        read_newslink_index_bytes(g, &Bytes::from_vec(buf.to_vec()), false).map(|(i, _)| i)
+    }
+
+    /// Tolerant load of an in-memory image.
+    fn tolerant(
+        g: &KnowledgeGraph,
+        buf: &[u8],
+    ) -> Result<(NewsLinkIndex, LoadReport), PersistError> {
+        read_newslink_index_bytes(g, &Bytes::from_vec(buf.to_vec()), true)
+    }
 
     /// `(frame_start, body_start, body_end)` for every frame in a **v3**
     /// buffer (frame 0 is the header). `body_end` is also where the CRC
@@ -1097,7 +1047,7 @@ mod tests {
         let idx = index_corpus(&g, &li, &cfg, DOCS);
         let mut buf = Vec::new();
         write_newslink_index(&idx, &g, &mut buf).unwrap();
-        let back = read_newslink_index(&g, &mut &buf[..]).unwrap();
+        let back = strict(&g, &buf[..]).unwrap();
         assert_eq!(back.doc_count(), idx.doc_count());
         assert_eq!(back.embedded_docs, idx.embedded_docs);
         assert_eq!(back.match_stats, idx.match_stats);
@@ -1114,46 +1064,61 @@ mod tests {
 
     #[test]
     fn label_fst_round_trips_through_ram_directory() {
+        use crate::directory::{RamDirectory, StorageBackend};
+        use newslink_kg::FstLabelIndex;
         let (g, li) = world();
-        let fst = newslink_kg::FstLabelIndex::build(&g);
-        let dir = crate::directory::RamDirectory::new();
-        save_label_fst(&dir, &fst).unwrap();
-        let back = load_label_fst(&dir).unwrap();
-        assert!(!back.is_mapped(), "RAM blobs stay heap-backed");
-        assert_eq!(back.surface_postings(), fst.surface_postings());
-        // The reloaded automaton answers like the hash oracle.
-        for (surface, nodes) in fst.surface_postings() {
-            use newslink_kg::LabelResolver;
-            let got: Vec<_> = back.exact(&surface).collect();
-            assert_eq!(got, nodes);
-            let oracle: Vec<_> = li.exact(&surface).collect();
-            assert_eq!(got, oracle, "surface {surface:?}");
+        let fst = FstLabelIndex::build(&g);
+        let dir = RamDirectory::new();
+        dir.atomic_write("labels.fst", &fst.encode()).unwrap();
+        for backend in [StorageBackend::Heap, StorageBackend::Mmap] {
+            let bytes = backend.open(&dir, "labels.fst").unwrap();
+            let back = FstLabelIndex::decode(bytes).unwrap();
+            assert!(!back.is_mapped(), "RAM blobs stay heap-backed ({backend})");
+            assert_eq!(back.surface_postings(), fst.surface_postings());
+            // The reloaded automaton answers like the hash oracle.
+            for (surface, nodes) in fst.surface_postings() {
+                use newslink_kg::LabelResolver;
+                let got: Vec<_> = back.exact(&surface).collect();
+                assert_eq!(got, nodes);
+                let oracle: Vec<_> = li.exact(&surface).collect();
+                assert_eq!(got, oracle, "surface {surface:?}");
+            }
         }
     }
 
     #[test]
     fn label_fst_maps_zero_copy_from_fs_directory() {
+        use crate::directory::StorageBackend;
+        use newslink_kg::{FstIndexError, FstLabelIndex};
         let (g, _) = world();
-        let fst = newslink_kg::FstLabelIndex::build(&g);
+        let fst = FstLabelIndex::build(&g);
         let tmp = std::env::temp_dir().join(format!("nl-fst-dir-{}", std::process::id()));
         std::fs::create_dir_all(&tmp).unwrap();
         let dir = FsDirectory::create(&tmp).unwrap();
-        save_label_fst(&dir, &fst).unwrap();
-        let back = load_label_fst(&dir).unwrap();
-        assert!(back.is_mapped(), "FsDirectory opens label blobs via mmap");
+        dir.atomic_write("labels.fst", &fst.encode()).unwrap();
+        let open = |backend: StorageBackend| {
+            FstLabelIndex::decode(backend.open(&dir, "labels.fst").unwrap())
+        };
+        let back = open(StorageBackend::Mmap).unwrap();
+        assert!(back.is_mapped(), "the mmap backend opens label blobs via mmap");
         assert_eq!(back.surface_postings(), fst.surface_postings());
+        let heap = open(StorageBackend::Heap).unwrap();
+        assert!(!heap.is_mapped(), "the heap backend copies label blobs");
+        assert_eq!(heap.surface_postings(), fst.surface_postings());
         // Flip a byte in the stored blob: the load must fail typed, not
         // serve corrupt postings.
-        let path = dir.path_of(LABEL_FST_BLOB);
+        let path = dir.path_of("labels.fst");
         let mut raw = std::fs::read(&path).unwrap();
         let mid = raw.len() / 2;
         raw[mid] ^= 0x40;
         std::fs::write(&path, &raw).unwrap();
-        match load_label_fst(&dir) {
-            Err(PersistError::Corrupt(msg)) => {
-                assert!(msg.contains("label automaton"), "{msg}")
+        for backend in [StorageBackend::Heap, StorageBackend::Mmap] {
+            match open(backend) {
+                Err(e @ FstIndexError::SectionChecksum(_)) => {
+                    assert!(e.to_string().contains("label automaton"), "{e}")
+                }
+                other => panic!("expected SectionChecksum ({backend}), got {other:?}"),
             }
-            other => panic!("expected Corrupt, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&tmp);
     }
@@ -1169,7 +1134,7 @@ mod tests {
 
         let mut buf = Vec::new();
         write_newslink_index(&idx, &g, &mut buf).unwrap();
-        let back = read_newslink_index(&g, &mut &buf[..]).unwrap();
+        let back = strict(&g, &buf[..]).unwrap();
         assert_eq!(back.segment_count(), 3);
         assert_eq!(back.tombstone_count(), 1);
         assert_eq!(back.compactions(), idx.compactions());
@@ -1199,7 +1164,7 @@ mod tests {
         let mut b = GraphBuilder::new();
         b.add_node("Lonely", EntityType::Gpe);
         let other = b.freeze();
-        let err = read_newslink_index(&other, &mut &buf[..]).unwrap_err();
+        let err = strict(&other, &buf[..]).unwrap_err();
         assert!(matches!(err, PersistError::GraphMismatch { .. }), "{err}");
         assert!(err.to_string().contains("different graph"), "{err}");
     }
@@ -1212,7 +1177,7 @@ mod tests {
         write_newslink_index(&idx, &g, &mut buf).unwrap();
         // Every truncation point must produce an error, never a panic.
         for cut in [3, 5, 9, buf.len() / 2, buf.len() - 3] {
-            let err = read_newslink_index(&g, &mut &buf[..cut]);
+            let err = strict(&g, &buf[..cut]);
             assert!(err.is_err(), "cut at {cut} must fail");
         }
     }
@@ -1232,7 +1197,7 @@ mod tests {
             "fixture's segment frame length must be a multi-byte varint"
         );
         for cut in [seg_frame_start + 1, (seg_body_start + seg_body_end) / 2] {
-            match read_newslink_index(&g, &mut &buf[..cut]) {
+            match strict(&g, &buf[..cut]) {
                 Err(PersistError::Io(e)) => {
                     assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}")
                 }
@@ -1253,7 +1218,7 @@ mod tests {
         // Flip one bit in the middle of segment 1's body.
         let (_, body_start, body_end) = spans[2];
         buf[(body_start + body_end) / 2] ^= 0x40;
-        match read_newslink_index(&g, &mut &buf[..]) {
+        match strict(&g, &buf[..]) {
             Err(PersistError::ChecksumMismatch { what, stored, computed }) => {
                 assert_eq!(what, "segment 1");
                 assert_ne!(stored, computed);
@@ -1269,13 +1234,13 @@ mod tests {
         let mut buf = Vec::new();
         write_newslink_index(&idx, &g, &mut buf).unwrap();
         buf[4] = 2; // the pre-checksum format version
-        match read_newslink_index(&g, &mut &buf[..]) {
+        match strict(&g, &buf[..]) {
             Err(PersistError::UnsupportedVersion(2)) => {}
             other => panic!("expected UnsupportedVersion(2), got {other:?}"),
         }
         buf[0] = b'X';
         assert!(matches!(
-            read_newslink_index(&g, &mut &buf[..]),
+            strict(&g, &buf[..]),
             Err(PersistError::BadMagic)
         ));
     }
@@ -1295,7 +1260,7 @@ mod tests {
         assert_eq!(buf[body_start + 2], 3, "fixture layout changed");
         buf[body_start + 2] = 0;
         restamp_crc(&mut buf, body_start, body_end);
-        match read_newslink_index(&g, &mut &buf[..]) {
+        match strict(&g, &buf[..]) {
             Err(PersistError::Corrupt(msg)) => {
                 assert!(msg.contains("beyond allocator"), "{msg}")
             }
@@ -1315,7 +1280,7 @@ mod tests {
         let (_, body_start, body_end) = spans[2];
         buf[(body_start + body_end) / 2] ^= 0x01;
 
-        let (back, report) = read_newslink_index_tolerant(&g, &mut &buf[..]).unwrap();
+        let (back, report) = tolerant(&g, &buf[..]).unwrap();
         assert!(report.degraded());
         assert_eq!(report.quarantined_segments, 1);
         assert_eq!(report.segments_loaded, 2);
@@ -1342,7 +1307,7 @@ mod tests {
         let spans = frame_spans(&buf);
         // Cut mid-way through segment 1: segments 1 and 2 are both lost.
         let cut = (spans[2].1 + spans[2].2) / 2;
-        let (back, report) = read_newslink_index_tolerant(&g, &mut &buf[..cut]).unwrap();
+        let (back, report) = tolerant(&g, &buf[..cut]).unwrap();
         assert_eq!(report.quarantined_segments, 2);
         assert_eq!(report.segments_loaded, 1);
         assert_eq!(back.doc_count(), 1);
@@ -1361,14 +1326,14 @@ mod tests {
         // Quarantine segment 1, which holds the tombstoned doc 1.
         let (_, body_start, body_end) = spans[2];
         buf[(body_start + body_end) / 2] ^= 0x08;
-        let (back, report) = read_newslink_index_tolerant(&g, &mut &buf[..]).unwrap();
+        let (back, report) = tolerant(&g, &buf[..]).unwrap();
         assert_eq!(report.quarantined_segments, 1);
         assert_eq!(report.dropped_tombstones, 1);
         assert_eq!(back.tombstone_count(), 0);
         assert_eq!(back.doc_count(), 2);
         // Strict mode refuses the same bytes outright.
         assert!(matches!(
-            read_newslink_index(&g, &mut &buf[..]),
+            strict(&g, &buf[..]),
             Err(PersistError::ChecksumMismatch { .. })
         ));
     }
@@ -1380,7 +1345,7 @@ mod tests {
         let idx = index_corpus(&g, &li, &cfg, DOCS);
         let mut buf = Vec::new();
         write_newslink_index(&idx, &g, &mut buf).unwrap();
-        let (back, report) = read_newslink_index_tolerant(&g, &mut &buf[..]).unwrap();
+        let (back, report) = tolerant(&g, &buf[..]).unwrap();
         assert!(!report.degraded());
         assert_eq!(report, LoadReport {
             segments_loaded: 3,
@@ -1453,7 +1418,8 @@ mod tests {
         // No temp residue, and saving over an existing file works.
         assert!(!dir.join("index.nlnk.tmp").exists());
         save_newslink_index(&back, &g, &path).unwrap();
-        let (again, report) = load_newslink_index_tolerant(&g, &path).unwrap();
+        let image = std::fs::read(&path).unwrap();
+        let (again, report) = tolerant(&g, &image).unwrap();
         assert_eq!(again.doc_count(), 3);
         assert!(!report.degraded());
         std::fs::remove_dir_all(&dir).ok();
@@ -1515,11 +1481,11 @@ mod tests {
         // is lost.
         let (start, end) = segment_byte_spans(&buf).unwrap()[0];
         buf[(start + end) / 2] ^= 0x20;
-        match read_newslink_index(&g, &mut &buf[..]) {
+        match strict(&g, &buf[..]) {
             Err(PersistError::ChecksumMismatch { what, .. }) => assert_eq!(what, "segment 0"),
             other => panic!("expected ChecksumMismatch, got {other:?}"),
         }
-        let (back, report) = read_newslink_index_tolerant(&g, &mut &buf[..]).unwrap();
+        let (back, report) = tolerant(&g, &buf[..]).unwrap();
         assert_eq!(report.quarantined_segments, 1);
         assert_eq!(report.segments_loaded, 2);
         assert!(back.locate(DocId(0)).is_none(), "doc 0 was quarantined");
@@ -1540,7 +1506,7 @@ mod tests {
         let dir_start = buf.len() - FOOTER_BYTES - spans.len() * DIR_ENTRY_BYTES;
         let mut dirty = buf.clone();
         dirty[dir_start + 3] ^= 0x01;
-        match read_newslink_index_tolerant(&g, &mut &dirty[..]) {
+        match tolerant(&g, &dirty[..]) {
             Err(PersistError::ChecksumMismatch { what, .. }) => {
                 assert_eq!(what, "segment directory")
             }
@@ -1551,7 +1517,7 @@ mod tests {
         let at = nofoot.len() - 1;
         nofoot[at] = b'X';
         assert!(matches!(
-            read_newslink_index_tolerant(&g, &mut &nofoot[..]),
+            tolerant(&g, &nofoot[..]),
             Err(PersistError::Corrupt(_))
         ));
     }
@@ -1566,13 +1532,13 @@ mod tests {
         write_newslink_index_v3(&idx, &g, &mut v3).unwrap();
         assert_eq!(v3[4], VERSION_V3);
         // The default reader dispatches on the version byte.
-        let back = read_newslink_index(&g, &mut &v3[..]).unwrap();
+        let back = strict(&g, &v3[..]).unwrap();
         assert_search_parity(&g, &li, &cfg, &idx, &back);
         // Re-saving produces v4; reloading preserves behaviour bit-exactly.
         let mut v4 = Vec::new();
         write_newslink_index(&back, &g, &mut v4).unwrap();
         assert_eq!(v4[4], VERSION);
-        let again = read_newslink_index(&g, &mut &v4[..]).unwrap();
+        let again = strict(&g, &v4[..]).unwrap();
         assert_eq!(again.tombstone_count(), 1);
         assert_search_parity(&g, &li, &cfg, &idx, &again);
     }

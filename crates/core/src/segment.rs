@@ -1015,7 +1015,7 @@ impl NewsLinkIndex {
     /// overlay (β pinned, pruned top-1 across the shard's segments; 0.0
     /// when nothing matches). The router takes the max over shards —
     /// `max` over a set is feed-order independent, so the result equals
-    /// the in-process [`Self::side_top1`] over the union. `overlay.norm`
+    /// the in-process `side_top1` over the union. `overlay.norm`
     /// is ignored (the pass computes the divisor's input).
     pub fn side_top1_overlay(
         &self,
@@ -1034,7 +1034,7 @@ impl NewsLinkIndex {
 
     /// Block-max pruned blended top-k under externally supplied overlays —
     /// the shard-side half of a scatter-gather search. Identical to
-    /// [`Self::blended_topk`] except that collection statistics, document
+    /// `blended_topk` except that collection statistics, document
     /// frequencies and normalization divisors come from the router's
     /// cluster-wide totals, and `floor` seeds the merged-heap threshold —
     /// or, with `threads > 1`, the [`SharedFloor`] — (scores at or below

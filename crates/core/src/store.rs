@@ -21,8 +21,8 @@
 //! that crashed before its rename is deleted on open — it was never
 //! made visible, so it is garbage by construction.
 //!
-//! Snapshot I/O goes through the [`Directory`]/[`SegmentReader`] seam:
-//! [`open_with`](DurableStore::open_with) selects the storage backend
+//! Snapshot I/O goes through the [`Directory`] seam:
+//! [`open_with`](DurableStore::open_with) selects the [`StorageBackend`]
 //! ([`StorageBackend::Heap`] copies the snapshot into the process heap;
 //! [`StorageBackend::Mmap`] memory-maps it and serves postings and the
 //! doc store zero-copy from the mapping). Checkpoints publish by atomic
@@ -39,11 +39,10 @@ use std::path::{Path, PathBuf};
 use newslink_kg::KnowledgeGraph;
 use newslink_text::DocId;
 
-use crate::directory::{Directory, FsDirectory};
+use crate::directory::{Directory, FsDirectory, StorageBackend};
 use crate::indexer::NewsLinkIndex;
-use crate::persist::{write_newslink_index, LoadReport, PersistError};
+use crate::persist::{read_newslink_index_bytes, write_newslink_index, LoadReport, PersistError};
 use crate::pipeline::NewsLink;
-use crate::reader::{SegmentReader, StorageBackend, StoreOptions};
 use crate::wal::{Wal, WalRecord};
 
 /// Snapshot file name inside the data directory.
@@ -57,7 +56,7 @@ pub const WAL_FILE: &str = "wal.log";
 pub struct DurableStore {
     dir: PathBuf,
     fs: FsDirectory,
-    reader: Box<dyn SegmentReader>,
+    backend: StorageBackend,
     wal: Wal,
     report: LoadReport,
 }
@@ -69,7 +68,7 @@ impl DurableStore {
     /// the corpus file) and it is checkpointed immediately so the next
     /// open skips the build.
     ///
-    /// Uses the default [`StoreOptions`] (heap backend); see
+    /// Loads the snapshot through the heap backend; see
     /// [`open_with`](Self::open_with).
     ///
     /// Recovery also checkpoints when the WAL held records and the
@@ -83,27 +82,25 @@ impl DurableStore {
         dir: &Path,
         seed: impl FnOnce() -> NewsLinkIndex,
     ) -> Result<(Self, NewsLinkIndex), PersistError> {
-        Self::open_with(engine, dir, &StoreOptions::new(), seed)
+        Self::open_with(engine, dir, StorageBackend::Heap, seed)
     }
 
-    /// [`open`](Self::open) with explicit [`StoreOptions`]: the
-    /// snapshot loads through the selected storage backend's
-    /// [`SegmentReader`] (config overrides are applied earlier, by
-    /// [`NewsLink::open_with`](crate::pipeline::NewsLink::open_with)).
+    /// [`open`](Self::open) with an explicit [`StorageBackend`] for the
+    /// snapshot.
     pub fn open_with(
         engine: &NewsLink<'_>,
         dir: &Path,
-        options: &StoreOptions,
+        backend: StorageBackend,
         seed: impl FnOnce() -> NewsLinkIndex,
     ) -> Result<(Self, NewsLinkIndex), PersistError> {
         let fsdir = FsDirectory::create(dir)?;
-        let reader = options.segment_reader();
         fsdir.remove(&format!("{SNAPSHOT_FILE}.tmp"))?;
         let fresh = !fsdir.exists(SNAPSHOT_FILE);
         let (mut index, mut report) = if fresh {
             (seed(), LoadReport::default())
         } else {
-            reader.read_snapshot(&fsdir, SNAPSHOT_FILE, engine.graph(), true)?
+            let bytes = backend.open(&fsdir, SNAPSHOT_FILE)?;
+            read_newslink_index_bytes(engine.graph(), &bytes, true)?
         };
         let (wal, records, torn) = Wal::open(&dir.join(WAL_FILE))?;
         report.wal_truncated_bytes = torn;
@@ -117,7 +114,7 @@ impl DurableStore {
         let mut store = Self {
             dir: dir.to_path_buf(),
             fs: fsdir,
-            reader,
+            backend,
             wal,
             report,
         };
@@ -134,7 +131,7 @@ impl DurableStore {
 
     /// Which storage backend snapshots load through.
     pub fn backend(&self) -> StorageBackend {
-        self.reader.backend()
+        self.backend
     }
 
     /// Current WAL length in bytes (its 5-byte header included).
@@ -313,9 +310,9 @@ mod tests {
         let (g, li) = world();
         let engine = NewsLink::new(&g, &li, NewsLinkConfig::default());
         let dir = temp_dir("mmap");
-        let opts = StoreOptions::new().backend(StorageBackend::Mmap);
+        let mmap = StorageBackend::Mmap;
         let (store, index) =
-            DurableStore::open_with(&engine, &dir, &opts, || engine.index_corpus(DOCS)).unwrap();
+            DurableStore::open_with(&engine, &dir, mmap, || engine.index_corpus(DOCS)).unwrap();
         assert_eq!(store.backend(), StorageBackend::Mmap);
         assert_eq!(index.doc_count(), 2);
         assert!(store.snapshot_len() > 0);
@@ -323,7 +320,7 @@ mod tests {
         // Reopen: the snapshot loads through the mapping and the live
         // index keeps it alive while a checkpoint replaces the file.
         let (mut store, mut index) =
-            DurableStore::open_with(&engine, &dir, &opts, || unreachable!()).unwrap();
+            DurableStore::open_with(&engine, &dir, mmap, || unreachable!()).unwrap();
         assert_eq!(index.doc_count(), 2);
         let id = engine.insert_document(&mut index, "Kunar aid convoy arrived.");
         store.log_insert(id, "Kunar aid convoy arrived.").unwrap();
@@ -332,7 +329,7 @@ mod tests {
         assert!(index.locate(DocId(0)).is_some());
         drop(store);
         let (store, reloaded) =
-            DurableStore::open_with(&engine, &dir, &opts, || unreachable!()).unwrap();
+            DurableStore::open_with(&engine, &dir, mmap, || unreachable!()).unwrap();
         assert_eq!(reloaded.doc_count(), 3);
         assert_eq!(store.report().wal_records_replayed, 0);
         std::fs::remove_dir_all(&dir).ok();

@@ -20,12 +20,13 @@ use proptest::prelude::*;
 
 use newslink_core::wal::{self, WalRecord, WAL_HEADER_LEN};
 use newslink_core::{
-    doc_ids, read_newslink_index, read_newslink_index_tolerant, segment_byte_spans,
-    write_newslink_index, DurableStore, LoadReport, NewsLink, NewsLinkConfig, NewsLinkIndex,
+    doc_ids, read_newslink_index_bytes, segment_byte_spans, write_newslink_index, DurableStore,
+    LoadReport, NewsLink, NewsLinkConfig, NewsLinkIndex, PersistError,
 };
 use newslink_kg::{EntityType, GraphBuilder, KnowledgeGraph, LabelIndex};
 use newslink_text::DocId;
 use newslink_util::failpoint::{FailMode, FailReader, FailWriter};
+use newslink_util::Bytes;
 
 fn world() -> (KnowledgeGraph, LabelIndex) {
     let mut b = GraphBuilder::new();
@@ -58,6 +59,16 @@ const EXTRA_DOCS: &[&str] = &[
 
 fn ids(index: &NewsLinkIndex) -> Vec<DocId> {
     doc_ids(index).collect()
+}
+
+/// Strict load of an in-memory snapshot image.
+fn strict(g: &KnowledgeGraph, image: &[u8]) -> Result<NewsLinkIndex, PersistError> {
+    read_newslink_index_bytes(g, &Bytes::from_vec(image.to_vec()), false).map(|(i, _)| i)
+}
+
+/// Tolerant load of an in-memory snapshot image.
+fn tolerant(g: &KnowledgeGraph, image: &[u8]) -> Result<(NewsLinkIndex, LoadReport), PersistError> {
+    read_newslink_index_bytes(g, &Bytes::from_vec(image.to_vec()), true)
 }
 
 /// Assert `a` and `b` hold the same documents and rank a spread of
@@ -110,11 +121,11 @@ fn snapshot_write_crash_at_every_offset_never_panics() {
 
         // Strict load: always a typed error, never a panic.
         assert!(
-            read_newslink_index(&g, &mut &torn[..]).is_err(),
+            strict(&g, &torn[..]).is_err(),
             "budget {budget}: a torn snapshot must never load strictly"
         );
         // Tolerant load: an error, or a valid subset of the documents.
-        if let Ok((loaded, report)) = read_newslink_index_tolerant(&g, &mut &torn[..]) {
+        if let Ok((loaded, report)) = tolerant(&g, &torn[..]) {
             let loaded_ids = ids(&loaded);
             for id in &loaded_ids {
                 assert!(original_ids.contains(id), "budget {budget}: invented doc {id:?}");
@@ -131,12 +142,13 @@ fn snapshot_write_crash_at_every_offset_never_panics() {
     // The full budget writes cleanly and loads cleanly.
     let mut w = FailWriter::new(Vec::new(), full.len() as u64, FailMode::ShortWrite);
     write_newslink_index(&index, &g, &mut w).unwrap();
-    let back = read_newslink_index(&g, &mut &w.into_inner()[..]).unwrap();
+    let back = strict(&g, &w.into_inner()).unwrap();
     assert_equivalent(&engine, &index, &back, "full write");
 }
 
 /// (1b) The read side of the same sweep: media that dies after N bytes
-/// yields a typed error at every N.
+/// yields a typed error at every N, and the N bytes it did deliver
+/// never load.
 #[test]
 fn snapshot_read_failure_at_every_offset_is_typed() {
     let (g, li) = world();
@@ -146,9 +158,17 @@ fn snapshot_read_failure_at_every_offset_is_typed() {
     write_newslink_index(&index, &g, &mut full).unwrap();
     for budget in 0..full.len() {
         let mut r = FailReader::new(&full[..], budget as u64);
+        let mut delivered = Vec::new();
+        let err = std::io::Read::read_to_end(&mut r, &mut delivered)
+            .expect_err("the media must die before the end");
         assert!(
-            read_newslink_index(&g, &mut r).is_err(),
-            "read failing at byte {budget} must surface as an error"
+            matches!(PersistError::from(err), PersistError::Io(_)),
+            "read failing at byte {budget} must surface as a typed io error"
+        );
+        assert_eq!(delivered.len(), budget);
+        assert!(
+            strict(&g, &delivered).is_err(),
+            "the {budget} bytes read before the failure must never load"
         );
     }
 }
@@ -186,7 +206,7 @@ fn wal_crash_at_every_offset_recovers_exactly_the_acked_mutations() {
     // Reference states: base + first k mutations, for every k.
     let reference: Vec<NewsLinkIndex> = (0..=records.len())
         .map(|k| {
-            let mut idx = read_newslink_index(&g, &mut &snapshot[..]).unwrap();
+            let mut idx = strict(&g, &snapshot[..]).unwrap();
             for r in &records[..k] {
                 assert!(engine.replay_wal(&mut idx, r).unwrap(), "reference apply {r:?}");
             }
@@ -203,7 +223,7 @@ fn wal_crash_at_every_offset_recovers_exactly_the_acked_mutations() {
         // Acked records = frames wholly on disk at the crash point.
         let acked = frame_ends.iter().filter(|&&e| e <= cut as u64).count() - 1;
         assert_eq!(scanned.records.len(), acked, "cut {cut}");
-        let mut recovered = read_newslink_index(&g, &mut &snapshot[..]).unwrap();
+        let mut recovered = strict(&g, &snapshot[..]).unwrap();
         let mut replayed = 0;
         for r in &scanned.records {
             if engine.replay_wal(&mut recovered, r).unwrap() {

@@ -2,8 +2,8 @@
 //!
 //! Contracts under test:
 //!
-//! 1. a **version-3** snapshot on disk keeps loading — through the raw
-//!    readers, through [`DurableStore`] on either storage backend — and
+//! 1. a **version-3** snapshot on disk keeps loading — through the byte
+//!    decoder, through [`DurableStore`] on either storage backend — and
 //!    the first checkpoint rewrites it as v4 without changing a single
 //!    search result bit;
 //! 2. both storage backends ([`StorageBackend::Heap`] and
@@ -15,9 +15,9 @@
 //!    strict mode, at every byte offset of every section.
 
 use newslink_core::{
-    doc_ids, read_newslink_index_bytes, segment_byte_spans, write_newslink_index_v3, Directory,
-    DurableStore, FsDirectory, MmapSegmentReader, NewsLink, NewsLinkConfig, NewsLinkIndex,
-    SegmentReader, StorageBackend, StoreOptions,
+    doc_ids, read_newslink_index_bytes, segment_byte_spans, write_newslink_index_v3,
+    DurableStore, FsDirectory, LoadReport, NewsLink, NewsLinkConfig, NewsLinkIndex, PersistError,
+    StorageBackend,
 };
 use newslink_kg::{EntityType, GraphBuilder, KnowledgeGraph, LabelIndex};
 use newslink_text::DocId;
@@ -67,6 +67,16 @@ fn assert_bit_identical(
     }
 }
 
+/// Load `index.nlnk` from `fs` through `backend`.
+fn load(
+    fs: &FsDirectory,
+    backend: StorageBackend,
+    g: &KnowledgeGraph,
+    tolerant: bool,
+) -> Result<(NewsLinkIndex, LoadReport), PersistError> {
+    read_newslink_index_bytes(g, &backend.open(fs, "index.nlnk")?, tolerant)
+}
+
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "newslink_format_migration_{}_{tag}",
@@ -103,10 +113,9 @@ fn v3_data_dir_migrates_to_v4_on_first_checkpoint() {
             "a v3 image has no v4 directory"
         );
 
-        let options = StoreOptions::new().backend(backend);
         {
             let (mut store, index) =
-                DurableStore::open_with(&engine, &dir, &options, || unreachable!())
+                DurableStore::open_with(&engine, &dir, backend, || unreachable!())
                     .expect("v3 snapshot loads forward");
             assert!(!store.report().degraded(), "{backend}");
             assert_bit_identical(&engine, &reference, &index, "v3 loaded");
@@ -117,7 +126,7 @@ fn v3_data_dir_migrates_to_v4_on_first_checkpoint() {
         assert_eq!(spans.len(), DOCS.len(), "one section per one-doc segment");
 
         // The migrated file round-trips on the same backend.
-        let (_store, index) = DurableStore::open_with(&engine, &dir, &options, || unreachable!())
+        let (_store, index) = DurableStore::open_with(&engine, &dir, backend, || unreachable!())
             .expect("v4 snapshot reopens");
         assert_bit_identical(&engine, &reference, &index, "v4 migrated");
         std::fs::remove_dir_all(&dir).ok();
@@ -142,10 +151,8 @@ fn heap_and_mmap_backends_agree_bit_for_bit() {
     let fs = FsDirectory::create(&dir).unwrap();
     let mut loaded = Vec::new();
     for backend in [StorageBackend::Heap, StorageBackend::Mmap] {
-        let (index, report) = backend
-            .reader()
-            .read_snapshot(&fs, "index.nlnk", &g, false)
-            .unwrap_or_else(|e| panic!("{backend}: {e}"));
+        let (index, report) =
+            load(&fs, backend, &g, false).unwrap_or_else(|e| panic!("{backend}: {e}"));
         assert!(!report.degraded(), "{backend}");
         loaded.push(index);
     }
@@ -176,7 +183,6 @@ fn every_mapped_section_byte_flip_quarantines_without_panic() {
     let all_ids = ids(&reference);
 
     let fs = FsDirectory::create(&dir).unwrap();
-    let reader = MmapSegmentReader;
     for (si, &(start, end)) in spans.iter().enumerate() {
         // Striding keeps the sweep fast while still probing headers,
         // tables, posting data and the doc-store blob of each section.
@@ -186,13 +192,12 @@ fn every_mapped_section_byte_flip_quarantines_without_panic() {
             std::fs::write(&snap, &bytes).unwrap();
 
             // Strict: typed error, never a panic.
-            let strict = reader.read_snapshot(&fs, "index.nlnk", &g, false);
+            let strict = load(&fs, StorageBackend::Mmap, &g, false);
             assert!(strict.is_err(), "section {si} byte {at}: strict must fail");
 
             // Tolerant: exactly that section quarantined; survivors and
             // their scores are untouched.
-            let (index, report) = reader
-                .read_snapshot(&fs, "index.nlnk", &g, true)
+            let (index, report) = load(&fs, StorageBackend::Mmap, &g, true)
                 .unwrap_or_else(|e| panic!("section {si} byte {at}: tolerant load failed: {e}"));
             assert!(report.degraded(), "section {si} byte {at}");
             assert_eq!(report.quarantined_segments, 1, "section {si} byte {at}");
@@ -230,7 +235,7 @@ fn v3_bytes_decode_identically_from_heap_and_mapped_buffers() {
 
     let (from_heap, _) =
         read_newslink_index_bytes(&g, &Bytes::from_vec(v3), false).expect("heap v3 decode");
-    let mapped = fs.open_bytes("old.nlnk").expect("map v3 file");
+    let mapped = StorageBackend::Mmap.open(&fs, "old.nlnk").expect("map v3 file");
     assert!(mapped.is_mapped());
     let (from_map, _) = read_newslink_index_bytes(&g, &mapped, false).expect("mapped v3 decode");
     assert_bit_identical(&engine, &from_heap, &from_map, "v3 heap vs mapped");

@@ -10,8 +10,9 @@
 use proptest::prelude::*;
 
 use newslink_core::{
-    index_corpus, search, write_newslink_index, Directory, ExplainOptions, FsDirectory, NewsLink,
-    NewsLinkConfig, NewsLinkIndex, RamDirectory, SearchRequest, StorageBackend,
+    index_corpus, read_newslink_index_bytes, search, write_newslink_index, Directory,
+    ExplainOptions, FsDirectory, NewsLink, NewsLinkConfig, NewsLinkIndex, RamDirectory,
+    SearchRequest, StorageBackend,
 };
 use newslink_kg::{EntityType, GraphBuilder, KnowledgeGraph, LabelIndex};
 use newslink_text::DocId;
@@ -69,10 +70,12 @@ fn round_trip_both_backends(
     write_newslink_index(index, g, &mut buf).expect("encode v4");
     let ram = RamDirectory::new();
     ram.atomic_write("index.nlnk", &buf).expect("ram write");
-    let (heap, _) = StorageBackend::Heap
-        .reader()
-        .read_snapshot(&ram, "index.nlnk", g, false)
-        .expect("heap load");
+    let (heap, _) = read_newslink_index_bytes(
+        g,
+        &StorageBackend::Heap.open(&ram, "index.nlnk").expect("heap open"),
+        false,
+    )
+    .expect("heap load");
     let dir = std::env::temp_dir().join(format!(
         "newslink_parallel_prop_{}_{tag}",
         std::process::id()
@@ -80,10 +83,12 @@ fn round_trip_both_backends(
     std::fs::remove_dir_all(&dir).ok();
     let fs = FsDirectory::create(&dir).expect("fs dir");
     fs.atomic_write("index.nlnk", &buf).expect("fs write");
-    let (mmap, _) = StorageBackend::Mmap
-        .reader()
-        .read_snapshot(&fs, "index.nlnk", g, false)
-        .expect("mmap load");
+    let (mmap, _) = read_newslink_index_bytes(
+        g,
+        &StorageBackend::Mmap.open(&fs, "index.nlnk").expect("mmap open"),
+        false,
+    )
+    .expect("mmap load");
     std::fs::remove_dir_all(&dir).ok();
     (heap, mmap)
 }

@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 
 use newslink_core::{
-    index_corpus, search, write_newslink_index, Directory, FsDirectory, NewsLinkConfig,
-    NewsLinkIndex, RamDirectory, StorageBackend,
+    index_corpus, read_newslink_index_bytes, search, write_newslink_index, Directory, FsDirectory,
+    NewsLinkConfig, NewsLinkIndex, RamDirectory, StorageBackend,
 };
 use newslink_kg::{EntityType, GraphBuilder, KnowledgeGraph, LabelIndex};
 use newslink_text::DocId;
@@ -97,10 +97,12 @@ fn round_trip_both_backends(
 
     let ram = RamDirectory::new();
     ram.atomic_write("index.nlnk", &buf).expect("ram write");
-    let (heap, report) = StorageBackend::Heap
-        .reader()
-        .read_snapshot(&ram, "index.nlnk", g, false)
-        .expect("heap load");
+    let (heap, report) = read_newslink_index_bytes(
+        g,
+        &StorageBackend::Heap.open(&ram, "index.nlnk").expect("heap open"),
+        false,
+    )
+    .expect("heap load");
     assert!(!report.degraded(), "{tag}");
 
     let dir = std::env::temp_dir().join(format!(
@@ -110,10 +112,12 @@ fn round_trip_both_backends(
     std::fs::remove_dir_all(&dir).ok();
     let fs = FsDirectory::create(&dir).expect("fs dir");
     fs.atomic_write("index.nlnk", &buf).expect("fs write");
-    let (mmap, report) = StorageBackend::Mmap
-        .reader()
-        .read_snapshot(&fs, "index.nlnk", g, false)
-        .expect("mmap load");
+    let (mmap, report) = read_newslink_index_bytes(
+        g,
+        &StorageBackend::Mmap.open(&fs, "index.nlnk").expect("mmap open"),
+        false,
+    )
+    .expect("mmap load");
     assert!(!report.degraded(), "{tag}");
     // The mapping outlives the unlink: the inode stays alive until the
     // index (and its mapped views) drop.

@@ -450,39 +450,6 @@ impl LabelIndex {
     }
 }
 
-impl LabelResolver for LabelIndex {
-    fn exact(&self, surface: &str) -> Postings<'_> {
-        LabelIndex::exact(self, surface)
-    }
-    fn candidates(&self, graph: &KnowledgeGraph, surface: &str) -> Vec<NodeId> {
-        LabelIndex::candidates(self, graph, surface)
-    }
-    fn has_exact(&self, surface: &str) -> bool {
-        LabelIndex::has_exact(self, surface)
-    }
-    fn max_label_tokens(&self) -> usize {
-        LabelIndex::max_label_tokens(self)
-    }
-    fn surface_count(&self) -> usize {
-        LabelIndex::len(self)
-    }
-    fn longest_match(
-        &self,
-        tokens: &[&str],
-        max_w: usize,
-        allow_single: bool,
-        searchable: &mut dyn FnMut(NodeId) -> bool,
-    ) -> Option<usize> {
-        LabelIndex::longest_match(self, tokens, max_w, allow_single, searchable)
-    }
-    fn backend(&self) -> &'static str {
-        LabelIndex::backend(self)
-    }
-    fn resolver_bytes(&self) -> usize {
-        LabelIndex::resolver_bytes(self)
-    }
-}
-
 /// Which resolver backend to build — the `--resolver` CLI knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ResolverBackend {

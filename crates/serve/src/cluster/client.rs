@@ -198,11 +198,11 @@ mod tests {
         });
         let client = ReplicaClient::new(addr);
         let deadline = Instant::now() + Duration::from_secs(5);
-        let (status, _) = client.call("GET", "/healthz", "", Some(deadline)).unwrap();
+        let (status, _) = client.call("GET", "/v1/healthz", "", Some(deadline)).unwrap();
         assert_eq!(status, 200);
         assert_eq!(client.idle.lock().len(), 1, "kept-alive response parked");
         // The reuse path once self-deadlocked re-locking the pool.
-        let (status, _) = client.call("GET", "/healthz", "", Some(deadline)).unwrap();
+        let (status, _) = client.call("GET", "/v1/healthz", "", Some(deadline)).unwrap();
         assert_eq!(status, 200);
         assert_eq!(client.idle.lock().len(), 1, "re-parked after reuse");
         server.join().unwrap();
@@ -213,6 +213,6 @@ mod tests {
         // A port nothing listens on: the call must fail, not hang.
         let client = ReplicaClient::new("127.0.0.1:1".parse().unwrap());
         let deadline = Instant::now() + Duration::from_millis(200);
-        assert!(client.call("GET", "/healthz", "", Some(deadline)).is_err());
+        assert!(client.call("GET", "/v1/healthz", "", Some(deadline)).is_err());
     }
 }

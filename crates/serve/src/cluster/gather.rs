@@ -40,8 +40,8 @@ use super::Cluster;
 use crate::metrics::{Route, ServerMetrics};
 use crate::protocol::HttpRequest;
 use crate::router::{
-    apply_deadline, error_body, is_api_path, parse_body, parse_insert_body, request_from_value,
-    routed, Routed,
+    apply_deadline, dispatch_v1, error_body, is_api_path, not_found, parse_body,
+    parse_insert_body, request_from_value, routed, Routed,
 };
 use crate::server::ServeConfig;
 
@@ -63,16 +63,9 @@ pub struct ClusterContext<'a, 'g> {
 }
 
 /// Dispatch one parsed request in router mode. Same `/v1` versioning
-/// and legacy-alias deprecation as the standalone
-/// [`dispatch`](crate::router::dispatch).
+/// as the standalone [`dispatch`](crate::router::dispatch).
 pub fn dispatch_cluster(req: &HttpRequest, ctx: &ClusterContext<'_, '_>) -> Routed {
-    let (path, legacy) = match req.path.strip_prefix("/v1") {
-        Some(rest) if rest.starts_with('/') => (rest, false),
-        _ => (req.path.as_str(), true),
-    };
-    let mut r = dispatch_path(req, path, ctx);
-    r.deprecated = legacy && is_api_path(path);
-    r
+    dispatch_v1(req, |path| dispatch_path(req, path, ctx))
 }
 
 fn dispatch_path(req: &HttpRequest, path: &str, ctx: &ClusterContext<'_, '_>) -> Routed {
@@ -103,7 +96,7 @@ fn dispatch_path(req: &HttpRequest, path: &str, ctx: &ClusterContext<'_, '_>) ->
             405,
             error_body(405, &format!("method {} not allowed here", req.method)),
         ),
-        (_, path) => routed(Route::Other, 404, error_body(404, &format!("no route {path}"))),
+        (_, _) => not_found(&req.path),
     }
 }
 
@@ -341,7 +334,7 @@ fn cluster_execute(request: &SearchRequest, ctx: &ClusterContext<'_, '_>) -> (Va
     // empty body would 400 at the shard and count as a failed call.
     let body = serde_json::to_string(&stats_request).unwrap_or_default();
     let stats: Vec<Option<StatsResponse>> =
-        scatter(ctx.cluster, &mut alive, "/internal/stats", &body, deadline);
+        scatter(ctx.cluster, &mut alive, "/v1/internal/stats", &body, deadline);
 
     let mut bow = OverlayWire {
         terms: analysis.terms.clone(),
@@ -390,7 +383,7 @@ fn cluster_execute(request: &SearchRequest, ctx: &ClusterContext<'_, '_>) -> (Va
         };
         let body = serde_json::to_string(&top1_request).unwrap_or_default();
         let tops: Vec<Option<Top1Response>> =
-            scatter(ctx.cluster, &mut alive, "/internal/top1", &body, deadline);
+            scatter(ctx.cluster, &mut alive, "/v1/internal/top1", &body, deadline);
         let (mut bow_max, mut bon_max) = (0.0f64, 0.0f64);
         for t in tops.into_iter().flatten() {
             bow_max = bow_max.max(f64_from_bits(t.bow_max_bits));
@@ -420,7 +413,7 @@ fn cluster_execute(request: &SearchRequest, ctx: &ClusterContext<'_, '_>) -> (Va
     };
     let body = serde_json::to_string(&search_request).unwrap_or_default();
     let parts: Vec<Option<ShardSearchResponse>> =
-        scatter(ctx.cluster, &mut alive, "/internal/search", &body, deadline);
+        scatter(ctx.cluster, &mut alive, "/v1/internal/search", &body, deadline);
 
     // Merge: sort the union by ascending global id, then push through
     // one TopK — ties resolve toward lower ids, exactly like the

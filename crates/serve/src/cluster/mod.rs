@@ -506,7 +506,7 @@ impl Cluster {
                 r.probes.fetch_add(1, Ordering::Relaxed);
                 let deadline = Instant::now() + Duration::from_millis(PROBE_BUDGET_MS);
                 let up = matches!(
-                    r.client.call("GET", "/healthz", "", Some(deadline)),
+                    r.client.call("GET", "/v1/healthz", "", Some(deadline)),
                     Ok((200, _))
                 );
                 r.breaker.record(up, Instant::now());
@@ -662,7 +662,7 @@ mod tests {
             "127.0.0.1:2".parse().unwrap(),
         ]]);
         let deadline = Instant::now() + Duration::from_millis(300);
-        let err = c.call_group(0, "GET", "/healthz", "", Some(deadline));
+        let err = c.call_group(0, "GET", "/v1/healthz", "", Some(deadline));
         assert_eq!(err, Err(GroupDown));
         // Both replicas were tried: one failover, both marked unhealthy.
         let g = &c.groups()[0];
@@ -688,7 +688,7 @@ mod tests {
             cfg,
         );
         let deadline = Instant::now() + Duration::from_millis(300);
-        assert_eq!(c.call_group(0, "GET", "/healthz", "", Some(deadline)), Err(GroupDown));
+        assert_eq!(c.call_group(0, "GET", "/v1/healthz", "", Some(deadline)), Err(GroupDown));
         let g = &c.groups()[0];
         assert_eq!(g.failovers.load(Ordering::Relaxed), 0, "no token, no failover");
         assert_eq!(c.budget().denied(), 1);
@@ -707,14 +707,14 @@ mod tests {
         let c = Cluster::with_config(vec![vec!["127.0.0.1:1".parse().unwrap()]], cfg);
         for _ in 0..2 {
             let deadline = Instant::now() + Duration::from_millis(200);
-            let _ = c.call_group(0, "GET", "/healthz", "", Some(deadline));
+            let _ = c.call_group(0, "GET", "/v1/healthz", "", Some(deadline));
         }
         let r = &c.groups()[0].replicas()[0];
         assert_eq!(r.breaker().state(), BreakerState::Open);
         let dialed = r.requests();
         // Subsequent calls are rejected without dialing.
         let deadline = Instant::now() + Duration::from_millis(200);
-        assert_eq!(c.call_group(0, "GET", "/healthz", "", Some(deadline)), Err(GroupDown));
+        assert_eq!(c.call_group(0, "GET", "/v1/healthz", "", Some(deadline)), Err(GroupDown));
         assert_eq!(r.requests(), dialed, "open breaker spends no connect");
     }
 

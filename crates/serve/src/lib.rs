@@ -17,11 +17,10 @@
 //! | `GET /v1/healthz`       | —                           | `{"status":"ok"}`, or `{"status":"degraded",...}` after a lossy recovery |
 //! | `GET /v1/metrics`       | —                           | counters, latency histogram, cache stats, segment/tombstone/compaction gauges, durability + storage gauges |
 //!
-//! The bare, unprefixed spellings (`/search`, …) remain as aliases for
-//! one release: they answer identically but carry a
-//! `Deprecation: true` response header. Every non-2xx response body is
-//! the typed envelope `{"error": {"code": "...", "message": "..."}}`
-//! (see [`router::error_code`] for the code vocabulary).
+//! A bare, unprefixed path (`/search`, …) gets a `404`. Every non-2xx
+//! response body is the typed envelope
+//! `{"error": {"code": "...", "message": "..."}}` (see
+//! [`router::error_code`] for the code vocabulary).
 //!
 //! Production shape, in miniature:
 //!

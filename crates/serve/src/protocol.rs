@@ -155,8 +155,8 @@ pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> io::Re
     write_response_with(stream, status, &[], body)
 }
 
-/// Like [`write_response`], with extra response headers (e.g. the
-/// `Deprecation` header on legacy unversioned paths).
+/// Like [`write_response`], with extra response headers (e.g.
+/// `Retry-After` on a shed connection).
 pub fn write_response_with(
     stream: &mut TcpStream,
     status: u16,
@@ -248,9 +248,8 @@ pub mod client {
         Ok((status, body))
     }
 
-    /// Like [`request`], but also surface the response headers — the
-    /// deprecation-header tests need to see the wire head, not just the
-    /// body.
+    /// Like [`request`], but also surface the response headers — for
+    /// tests that need to see the wire head, not just the body.
     pub fn request_with_headers(
         addr: SocketAddr,
         method: &str,

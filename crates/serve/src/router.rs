@@ -75,10 +75,6 @@ pub struct Routed {
     pub status: u16,
     /// JSON response body.
     pub body: String,
-    /// The request arrived on a legacy unversioned path (`/search`
-    /// instead of `/v1/search`); the response carries a
-    /// `Deprecation: true` header.
-    pub deprecated: bool,
 }
 
 pub(crate) fn routed(route: Route, status: u16, body: String) -> Routed {
@@ -86,7 +82,6 @@ pub(crate) fn routed(route: Route, status: u16, body: String) -> Routed {
         route,
         status,
         body,
-        deprecated: false,
     }
 }
 
@@ -154,9 +149,8 @@ pub fn error_body(status: u16, msg: &str) -> String {
     .to_compact_string()
 }
 
-/// Whether `path` (canonical, un-prefixed form) names an endpoint this
-/// service serves — used to decide if a legacy alias deserves the
-/// deprecation header.
+/// Whether `path` (canonical, un-prefixed form) names a public endpoint
+/// this service serves — a wrong method on one answers `405`, not `404`.
 pub(crate) fn is_api_path(path: &str) -> bool {
     matches!(
         path,
@@ -164,20 +158,27 @@ pub(crate) fn is_api_path(path: &str) -> bool {
     ) || path.strip_prefix("/docs/").is_some()
 }
 
-/// Dispatch one parsed request to its handler.
-///
-/// The wire surface is versioned under `/v1/`; the bare, unprefixed
-/// paths remain as aliases for one release and answer identically but
-/// with [`Routed::deprecated`] set (the server turns that into a
-/// `Deprecation: true` response header).
+/// The wire surface is versioned: every route lives under `/v1/`. Hand
+/// the version-stripped path to `route`, or answer the typed `404` when
+/// the prefix is missing. Shared by the standalone [`dispatch`] and the
+/// cluster router's
+/// [`dispatch_cluster`](crate::cluster::gather::dispatch_cluster).
+pub(crate) fn dispatch_v1(req: &HttpRequest, route: impl FnOnce(&str) -> Routed) -> Routed {
+    match req.path.strip_prefix("/v1") {
+        Some(path) if path.starts_with('/') => route(path),
+        _ => not_found(&req.path),
+    }
+}
+
+/// The typed `404` for a path no route serves.
+pub(crate) fn not_found(path: &str) -> Routed {
+    routed(Route::Other, 404, error_body(404, &format!("no route {path}")))
+}
+
+/// Dispatch one parsed request to its handler. Every route lives under
+/// `/v1/`; an unprefixed path gets the typed `404`.
 pub fn dispatch(req: &HttpRequest, ctx: &RequestContext<'_, '_>) -> Routed {
-    let (path, legacy) = match req.path.strip_prefix("/v1") {
-        Some(rest) if rest.starts_with('/') => (rest, false),
-        _ => (req.path.as_str(), true),
-    };
-    let mut r = dispatch_path(req, path, ctx);
-    r.deprecated = legacy && is_api_path(path);
-    r
+    dispatch_v1(req, |path| dispatch_path(req, path, ctx))
 }
 
 /// Route a canonical (version-stripped) path.
@@ -210,7 +211,7 @@ fn dispatch_path(req: &HttpRequest, path: &str, ctx: &RequestContext<'_, '_>) ->
             405,
             error_body(405, &format!("method {} not allowed here", req.method)),
         ),
-        (_, path) => routed(Route::Other, 404, error_body(404, &format!("no route {path}"))),
+        (_, _) => not_found(&req.path),
     }
 }
 

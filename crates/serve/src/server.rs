@@ -262,12 +262,16 @@ impl Server {
                     // Hold the lock only while waiting; release before
                     // handling so peers can pick up the next job.
                     let job = receiver.lock().recv();
-                    let Ok(job) = job else {
+                    let Ok(mut job) = job else {
                         break; // sender dropped and queue drained
                     };
                     let gauge = in_flight.load(Ordering::Relaxed);
-                    self.handle_connection(job, handler, gauge);
+                    self.handle_connection(&mut job, handler, gauge);
+                    // Free the admission slot before the socket closes: a
+                    // client that sees its connection end may reconnect at
+                    // once and must not be shed by a slot still held here.
                     in_flight.fetch_sub(1, Ordering::Release);
+                    drop(job);
                 });
             }
 
@@ -317,11 +321,11 @@ impl Server {
     /// slot) until the client closes it or stalls past the read
     /// timeout — which is exactly the accounting admission control
     /// wants, since the connection really is holding a worker.
-    fn handle_connection<H>(&self, job: Job, handler: &H, in_flight: usize)
+    fn handle_connection<H>(&self, job: &mut Job, handler: &H, in_flight: usize)
     where
         H: Fn(&HttpRequest, Instant, usize) -> Routed + Sync,
     {
-        let mut stream = job.stream;
+        let stream = &mut job.stream;
         let _ = stream.set_nonblocking(false);
         // Responses go out in one write; disable Nagle anyway so no
         // future multi-write path can trip over delayed ACKs.
@@ -330,7 +334,7 @@ impl Server {
         let mut anchor = job.accepted;
         let mut first = true;
         loop {
-            let request = match read_request(&mut stream, self.config.max_body_bytes) {
+            let request = match read_request(stream, self.config.max_body_bytes) {
                 Ok(request) => {
                     // The first request's budget is anchored at accept
                     // (queue wait counts against it); later requests on a
@@ -343,13 +347,13 @@ impl Server {
                 }
                 Err(RecvError::Closed) => return,
                 Err(RecvError::BadRequest(msg)) => {
-                    let _ = write_response(&mut stream, 400, &error_body(400, &msg));
+                    let _ = write_response(stream, 400, &error_body(400, &msg));
                     self.metrics.observe(Route::Other, 400, anchor.elapsed());
                     return;
                 }
                 Err(RecvError::TooLarge) => {
                     let _ =
-                        write_response(&mut stream, 413, &error_body(413, "request body too large"));
+                        write_response(stream, 413, &error_body(413, "request body too large"));
                     self.metrics.observe(Route::Other, 413, anchor.elapsed());
                     return;
                 }
@@ -362,19 +366,12 @@ impl Server {
             // A panic inside a handler must not take down the pool:
             // answer 500 and keep serving.
             let routed = catch_unwind(AssertUnwindSafe(|| handler(&request, anchor, in_flight)));
-            let (route, status, body, deprecated) = match routed {
-                Ok(r) => (r.route, r.status, r.body, r.deprecated),
-                Err(_) => (Route::Other, 500, error_body(500, "internal error"), false),
-            };
-            // Legacy unversioned paths still answer, but tell the client
-            // to move to `/v1/...`.
-            let extra: &[(&str, &str)] = if deprecated {
-                &[("Deprecation", "true")]
-            } else {
-                &[]
+            let (route, status, body) = match routed {
+                Ok(r) => (r.route, r.status, r.body),
+                Err(_) => (Route::Other, 500, error_body(500, "internal error")),
             };
             let keep = request.keep_alive;
-            if write_response_conn(&mut stream, status, extra, &body, keep).is_err() {
+            if write_response_conn(stream, status, &[], &body, keep).is_err() {
                 self.metrics.observe(route, status, anchor.elapsed());
                 return;
             }

@@ -93,7 +93,7 @@ impl Ctx<'_> {
     /// The router's `/metrics` document.
     fn metrics(&self) -> Value {
         let (status, body) =
-            client::request(self.router, "GET", "/metrics", "").expect("metrics fetch");
+            client::request(self.router, "GET", "/v1/metrics", "").expect("metrics fetch");
         assert_eq!(status, 200, "{body}");
         serde_json::from_str(&body).expect("metrics json")
     }
@@ -541,7 +541,7 @@ fn deadline_beats_a_byte_dripping_replica() {
     let t = Instant::now();
     let deadline = t + Duration::from_millis(250);
     let err = client
-        .call("GET", "/healthz", "", Some(deadline))
+        .call("GET", "/v1/healthz", "", Some(deadline))
         .expect_err("a dripped response must not beat the deadline");
     let elapsed = t.elapsed();
     assert_eq!(err.kind(), std::io::ErrorKind::TimedOut, "{err}");
@@ -592,7 +592,7 @@ fn drive_and_count(plan: &FaultPlan, upstream: SocketAddr, n: u64) -> Vec<u64> {
         if let Ok(stream) = TcpStream::connect_timeout(&proxy.addr(), Duration::from_millis(300)) {
             let _ = stream.set_read_timeout(Some(Duration::from_millis(300)));
             let mut s = &stream;
-            let _ = s.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+            let _ = s.write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n");
             let mut sink = [0u8; 4096];
             while matches!(s.read(&mut sink), Ok(x) if x > 0) {}
         }

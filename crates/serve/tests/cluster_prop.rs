@@ -76,6 +76,14 @@ fn corpus_and_deletes() -> impl Strategy<Value = (Vec<String>, Vec<u32>)> {
 /// Issue the same deletes and searches to both servers and demand
 /// equal statuses and bit-equal result payloads.
 fn drive(mono: SocketAddr, router: SocketAddr, deletes: &[u32], searches: &[(String, f64, usize)]) {
+    // Both modes share one `/v1` gate: an unversioned path is the typed 404.
+    for (addr, who) in [(mono, "mono"), (router, "router")] {
+        let (status, text) =
+            client::request(addr, "POST", "/search", r#"{"query": "x"}"#).expect("bare path");
+        assert_eq!(status, 404, "{who}: {text}");
+        let v: Value = serde_json::from_str(&text).expect("404 json");
+        assert_eq!(v["error"]["code"], "not_found", "{who}: {text}");
+    }
     for &id in deletes {
         let path = format!("/v1/docs/{id}");
         let (ms, mb) = client::request(mono, "DELETE", &path, "").expect("mono delete");

@@ -7,7 +7,6 @@ use std::path::{Path, PathBuf};
 
 use newslink_core::{
     segment_byte_spans, DurableStore, NewsLink, NewsLinkConfig, NewsLinkIndex, StorageBackend,
-    StoreOptions,
 };
 use newslink_kg::{synth, KnowledgeGraph, LabelIndex, SynthConfig};
 use newslink_serve::{client, DurableState, ServeConfig, Server, ServerHandle};
@@ -66,9 +65,8 @@ fn with_durable_server<R>(
     let labels = LabelIndex::build(&fixture.graph);
     let engine = NewsLink::new(&fixture.graph, &labels, engine_config);
     let docs = fixture.docs();
-    let options = StoreOptions::new().backend(backend);
     let (store, index) =
-        DurableStore::open_with(&engine, dir, &options, || engine.index_corpus(&docs))
+        DurableStore::open_with(&engine, dir, backend, || engine.index_corpus(&docs))
             .expect("open store");
     let durable = DurableState::new(store);
     let index: parking_lot::RwLock<NewsLinkIndex> = parking_lot::RwLock::new(index);
@@ -113,14 +111,14 @@ fn restart_survives(backend: StorageBackend) {
             r#"{{"text": "Breaking report from {} about {}."}}"#,
             fixture.city, fixture.country
         );
-        let (status, text) = client::request(handle.addr(), "POST", "/docs", &body).unwrap();
+        let (status, text) = client::request(handle.addr(), "POST", "/v1/docs", &body).unwrap();
         assert_eq!(status, 200, "{text}");
         assert_eq!(parse(&text)["id"].as_i64(), Some(3));
-        let (status, text) = client::request(handle.addr(), "DELETE", "/docs/0", "").unwrap();
+        let (status, text) = client::request(handle.addr(), "DELETE", "/v1/docs/0", "").unwrap();
         assert_eq!(status, 200, "{text}");
 
         // Both mutations were WAL-logged before they were acknowledged.
-        let (_, text) = client::request(handle.addr(), "GET", "/metrics", "").unwrap();
+        let (_, text) = client::request(handle.addr(), "GET", "/v1/metrics", "").unwrap();
         let v = parse(&text);
         assert_eq!(v["durability"]["wal_appends"], 2u64, "{text}");
         let wal_bytes = v["durability"]["wal_bytes"].as_i64().unwrap();
@@ -129,12 +127,12 @@ fn restart_survives(backend: StorageBackend) {
         // Deletes that answer 404 never touch the log: neither an
         // unknown id nor an already-deleted one pays an fsync or grows
         // the WAL.
-        for missing in ["/docs/999", "/docs/0"] {
+        for missing in ["/v1/docs/999", "/v1/docs/0"] {
             let (status, text) =
                 client::request(handle.addr(), "DELETE", missing, "").unwrap();
             assert_eq!(status, 404, "{missing}: {text}");
         }
-        let (_, text) = client::request(handle.addr(), "GET", "/metrics", "").unwrap();
+        let (_, text) = client::request(handle.addr(), "GET", "/v1/metrics", "").unwrap();
         let v = parse(&text);
         assert_eq!(v["durability"]["wal_appends"], 2u64, "404s append nothing: {text}");
         assert_eq!(
@@ -147,11 +145,11 @@ fn restart_survives(backend: StorageBackend) {
     // Restart: the WAL replays over the snapshot.
     with_durable_server(&fixture, NewsLinkConfig::default(), &dir, backend, |handle, durable| {
         assert_eq!(durable.report().wal_records_replayed, 2);
-        let (status, text) = client::request(handle.addr(), "GET", "/healthz", "").unwrap();
+        let (status, text) = client::request(handle.addr(), "GET", "/v1/healthz", "").unwrap();
         assert_eq!(status, 200);
         assert_eq!(parse(&text)["status"], "ok");
 
-        let (_, text) = client::request(handle.addr(), "GET", "/metrics", "").unwrap();
+        let (_, text) = client::request(handle.addr(), "GET", "/v1/metrics", "").unwrap();
         let v = parse(&text);
         assert_eq!(v["index"]["docs"], 3u64, "3 built + 1 inserted - 1 deleted: {text}");
         assert_eq!(v["durability"]["wal_records_replayed"], 2u64, "{text}");
@@ -163,7 +161,7 @@ fn restart_survives(backend: StorageBackend) {
 
         // The recovered document is searchable; the deleted one is gone.
         let query = format!(r#"{{"query": "breaking report about {}", "k": 6}}"#, fixture.country);
-        let (status, text) = client::request(handle.addr(), "POST", "/search", &query).unwrap();
+        let (status, text) = client::request(handle.addr(), "POST", "/v1/search", &query).unwrap();
         assert_eq!(status, 200);
         let hits: Vec<i64> = parse(&text)["results"]
             .as_array()
@@ -185,11 +183,11 @@ fn admin_snapshot_checkpoints_and_resets_the_wal() {
     // replacement must not disturb the live mapping.
     with_durable_server(&fixture, NewsLinkConfig::default(), &dir, StorageBackend::Mmap, |handle, _| {
         let body = format!(r#"{{"text": "Update from {}."}}"#, fixture.city);
-        let (status, _) = client::request(handle.addr(), "POST", "/docs", &body).unwrap();
+        let (status, _) = client::request(handle.addr(), "POST", "/v1/docs", &body).unwrap();
         assert_eq!(status, 200);
 
         let (status, text) =
-            client::request(handle.addr(), "POST", "/admin/snapshot", "").unwrap();
+            client::request(handle.addr(), "POST", "/v1/admin/snapshot", "").unwrap();
         assert_eq!(status, 200, "{text}");
         let v = parse(&text);
         assert_eq!(v["checkpointed"], true);
@@ -197,10 +195,10 @@ fn admin_snapshot_checkpoints_and_resets_the_wal() {
         assert_eq!(v["wal_bytes"], 5u64, "WAL reset to its header: {text}");
         assert_eq!(v["snapshots"], 1u64);
 
-        let (status, _) = client::request(handle.addr(), "GET", "/admin/snapshot", "").unwrap();
+        let (status, _) = client::request(handle.addr(), "GET", "/v1/admin/snapshot", "").unwrap();
         assert_eq!(status, 405, "wrong method on the admin route");
 
-        let (_, text) = client::request(handle.addr(), "GET", "/metrics", "").unwrap();
+        let (_, text) = client::request(handle.addr(), "GET", "/v1/metrics", "").unwrap();
         assert_eq!(parse(&text)["durability"]["snapshots"], 1u64, "{text}");
     });
 
@@ -208,7 +206,7 @@ fn admin_snapshot_checkpoints_and_resets_the_wal() {
     // replays nothing and still has all four documents.
     with_durable_server(&fixture, NewsLinkConfig::default(), &dir, StorageBackend::Mmap, |handle, durable| {
         assert_eq!(durable.report().wal_records_replayed, 0);
-        let (_, text) = client::request(handle.addr(), "GET", "/metrics", "").unwrap();
+        let (_, text) = client::request(handle.addr(), "GET", "/v1/metrics", "").unwrap();
         assert_eq!(parse(&text)["index"]["docs"], 4u64, "{text}");
     });
     std::fs::remove_dir_all(&dir).ok();
@@ -225,11 +223,11 @@ fn snapshot_endpoint_without_data_dir_is_a_clear_400() {
     std::thread::scope(|scope| {
         let runner = scope.spawn(|| server.run(&engine, &index));
         let (status, text) =
-            client::request(handle.addr(), "POST", "/admin/snapshot", "").unwrap();
+            client::request(handle.addr(), "POST", "/v1/admin/snapshot", "").unwrap();
         assert_eq!(status, 400, "{text}");
         assert!(text.contains("--data-dir"), "error says how to enable: {text}");
         // And /metrics has no durability section at all.
-        let (_, text) = client::request(handle.addr(), "GET", "/metrics", "").unwrap();
+        let (_, text) = client::request(handle.addr(), "GET", "/v1/metrics", "").unwrap();
         assert!(parse(&text)["durability"].is_null(), "{text}");
         handle.shutdown();
         runner.join().expect("server thread").expect("server run");
@@ -260,7 +258,7 @@ fn degraded_start_still_serves(backend: StorageBackend) {
         // One extra WAL-only mutation, to prove replay works over a
         // degraded snapshot too.
         let body = format!(r#"{{"text": "Late extra from {}."}}"#, fixture.city);
-        let (status, _) = client::request(handle.addr(), "POST", "/docs", &body).unwrap();
+        let (status, _) = client::request(handle.addr(), "POST", "/v1/docs", &body).unwrap();
         assert_eq!(status, 200);
     });
 
@@ -280,14 +278,14 @@ fn degraded_start_still_serves(backend: StorageBackend) {
         assert_eq!(durable.report().quarantined_segments, 1);
 
         // Health says degraded (still 200: up, but serving a subset).
-        let (status, text) = client::request(handle.addr(), "GET", "/healthz", "").unwrap();
+        let (status, text) = client::request(handle.addr(), "GET", "/v1/healthz", "").unwrap();
         assert_eq!(status, 200);
         let v = parse(&text);
         assert_eq!(v["status"], "degraded", "{text}");
         assert_eq!(v["quarantined_segments"], 1u64, "{text}");
 
         // Metrics carry the full recovery report.
-        let (_, text) = client::request(handle.addr(), "GET", "/metrics", "").unwrap();
+        let (_, text) = client::request(handle.addr(), "GET", "/v1/metrics", "").unwrap();
         let v = parse(&text);
         assert_eq!(v["durability"]["degraded"], true, "{text}");
         assert_eq!(v["durability"]["quarantined_segments"], 1u64, "{text}");
@@ -296,7 +294,7 @@ fn degraded_start_still_serves(backend: StorageBackend) {
 
         // Searches over the survivors still answer.
         let query = format!(r#"{{"query": "news about {}", "k": 6}}"#, fixture.country);
-        let (status, _) = client::request(handle.addr(), "POST", "/search", &query).unwrap();
+        let (status, _) = client::request(handle.addr(), "POST", "/v1/search", &query).unwrap();
         assert_eq!(status, 200);
     });
 

@@ -92,7 +92,7 @@ fn search_happy_path_over_tcp() {
             r#"{{"query": "News about {}.", "k": 3, "explain": true}}"#,
             fixture.country
         );
-        let (status, text) = client::request(handle.addr(), "POST", "/search", &body).unwrap();
+        let (status, text) = client::request(handle.addr(), "POST", "/v1/search", &body).unwrap();
         assert_eq!(status, 200, "body: {text}");
         let v = parse(&text);
         let results = v["results"].as_array().expect("results array");
@@ -129,7 +129,7 @@ fn batch_endpoint_answers_all_requests_in_order() {
             t = fixture.city
         );
         let (status, text) =
-            client::request(handle.addr(), "POST", "/search/batch", &body).unwrap();
+            client::request(handle.addr(), "POST", "/v1/search/batch", &body).unwrap();
         assert_eq!(status, 200, "body: {text}");
         let v = parse(&text);
         let responses = v["responses"].as_array().expect("responses");
@@ -150,21 +150,21 @@ fn malformed_and_unroutable_requests() {
     let fixture = Fixture::new(13);
     with_server(ServeConfig::default(), &fixture, |handle, _| {
         // Not JSON at all.
-        let (status, text) = client::request(handle.addr(), "POST", "/search", "{oops").unwrap();
+        let (status, text) = client::request(handle.addr(), "POST", "/v1/search", "{oops").unwrap();
         assert_eq!(status, 400);
         assert!(parse(&text)["error"]["message"].as_str().is_some());
         // Valid JSON, wrong shape.
-        let (status, _) = client::request(handle.addr(), "POST", "/search", r#"{"k": 3}"#).unwrap();
+        let (status, _) = client::request(handle.addr(), "POST", "/v1/search", r#"{"k": 3}"#).unwrap();
         assert_eq!(status, 400);
         // Unknown fields are rejected, not ignored.
         let (status, text) =
-            client::request(handle.addr(), "POST", "/search", r#"{"query":"q","knn":1}"#).unwrap();
+            client::request(handle.addr(), "POST", "/v1/search", r#"{"query":"q","knn":1}"#).unwrap();
         assert_eq!(status, 400);
         assert!(text.contains("knn"), "error names the field: {text}");
         // Unknown route and wrong method.
-        let (status, _) = client::request(handle.addr(), "GET", "/nope", "").unwrap();
+        let (status, _) = client::request(handle.addr(), "GET", "/v1/nope", "").unwrap();
         assert_eq!(status, 404);
-        let (status, _) = client::request(handle.addr(), "GET", "/search", "").unwrap();
+        let (status, _) = client::request(handle.addr(), "GET", "/v1/search", "").unwrap();
         assert_eq!(status, 405);
         // A body declared over the cap is rejected from the head alone,
         // before any of it is read.
@@ -172,7 +172,7 @@ fn malformed_and_unroutable_requests() {
         let mut big = TcpStream::connect(handle.addr()).unwrap();
         big.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
         big.write_all(
-            b"POST /search HTTP/1.1\r\nHost: t\r\nContent-Length: 2097152\r\n\r\n",
+            b"POST /v1/search HTTP/1.1\r\nHost: t\r\nContent-Length: 2097152\r\n\r\n",
         )
         .unwrap();
         let (status, _) = client::read_response(&mut big).unwrap();
@@ -188,7 +188,7 @@ fn zero_timeout_yields_503_with_partial_timer() {
             r#"{{"query": "news about {}", "timeout_ms": 0}}"#,
             fixture.country
         );
-        let (status, text) = client::request(handle.addr(), "POST", "/search", &body).unwrap();
+        let (status, text) = client::request(handle.addr(), "POST", "/v1/search", &body).unwrap();
         assert_eq!(status, 503, "body: {text}");
         let v = parse(&text);
         assert_eq!(v["timed_out"], true);
@@ -214,7 +214,7 @@ fn over_capacity_connections_are_shed_with_429() {
         let mut hog = TcpStream::connect(handle.addr()).unwrap();
         hog.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
         let head = format!(
-            "POST /search HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+            "POST /v1/search HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
             body.len()
         );
         hog.write_all(head.as_bytes()).unwrap();
@@ -226,7 +226,7 @@ fn over_capacity_connections_are_shed_with_429() {
         // and the raw response carries a `Retry-After` hint so
         // well-behaved clients back off instead of hammering.
         let (status, headers, text) =
-            client::request_with_headers(handle.addr(), "POST", "/search", &body).unwrap();
+            client::request_with_headers(handle.addr(), "POST", "/v1/search", &body).unwrap();
         assert_eq!(status, 429, "body: {text}");
         let retry_after = headers
             .iter()
@@ -243,7 +243,7 @@ fn over_capacity_connections_are_shed_with_429() {
         assert_eq!(status, 200, "body: {text}");
 
         // Once the worker is free again, new requests are admitted.
-        let (status, _) = client::request(handle.addr(), "GET", "/healthz", "").unwrap();
+        let (status, _) = client::request(handle.addr(), "GET", "/v1/healthz", "").unwrap();
         assert_eq!(status, 200);
     });
 }
@@ -254,12 +254,12 @@ fn metrics_report_traffic_latency_and_cache_counters() {
     with_server(ServeConfig::default(), &fixture, |handle, _| {
         let body = format!(r#"{{"query": "news about {}"}}"#, fixture.country);
         for _ in 0..3 {
-            let (status, _) = client::request(handle.addr(), "POST", "/search", &body).unwrap();
+            let (status, _) = client::request(handle.addr(), "POST", "/v1/search", &body).unwrap();
             assert_eq!(status, 200);
         }
         // /healthz is a JSON operational summary, not just a liveness
         // ping — but the bare-200 contract stays for load balancers.
-        let (status, text) = client::request(handle.addr(), "GET", "/healthz", "").unwrap();
+        let (status, text) = client::request(handle.addr(), "GET", "/v1/healthz", "").unwrap();
         assert_eq!(status, 200);
         let h = parse(&text);
         assert_eq!(h["status"], "ok");
@@ -269,7 +269,7 @@ fn metrics_report_traffic_latency_and_cache_counters() {
         assert!(h["segments"].as_i64().unwrap() > 0, "{text}");
         assert_eq!(h["version"].as_str().unwrap(), env!("CARGO_PKG_VERSION"));
 
-        let (status, text) = client::request(handle.addr(), "GET", "/metrics", "").unwrap();
+        let (status, text) = client::request(handle.addr(), "GET", "/v1/metrics", "").unwrap();
         assert_eq!(status, 200);
         let v = parse(&text);
         assert!(v["requests_total"].as_i64().unwrap() >= 4);
@@ -299,7 +299,7 @@ fn metrics_segment_gauges_move_with_live_inserts_and_compaction() {
     let engine_config = NewsLinkConfig::default().with_max_segments(2);
     with_server_engine(ServeConfig::default(), engine_config, &fixture, |handle, _| {
         let gauges = |label: &str| {
-            let (status, text) = client::request(handle.addr(), "GET", "/metrics", "").unwrap();
+            let (status, text) = client::request(handle.addr(), "GET", "/v1/metrics", "").unwrap();
             assert_eq!(status, 200, "{label}: {text}");
             let v = parse(&text);
             let g = |k: &str| v["index"][k].as_i64().unwrap_or_else(|| panic!("{label}: missing index.{k} in {text}"));
@@ -316,7 +316,7 @@ fn metrics_segment_gauges_move_with_live_inserts_and_compaction() {
                 r#"{{"text": "Late report {i} from {} about {}."}}"#,
                 fixture.city, fixture.country
             );
-            let (status, text) = client::request(handle.addr(), "POST", "/docs", &body).unwrap();
+            let (status, text) = client::request(handle.addr(), "POST", "/v1/docs", &body).unwrap();
             assert_eq!(status, 200, "insert {i}: {text}");
             assert_eq!(parse(&text)["id"].as_i64(), Some(3 + i));
         }
@@ -328,7 +328,7 @@ fn metrics_segment_gauges_move_with_live_inserts_and_compaction() {
 
         // The inserted documents are immediately searchable.
         let query = format!(r#"{{"query": "late report about {}", "k": 6}}"#, fixture.country);
-        let (status, text) = client::request(handle.addr(), "POST", "/search", &query).unwrap();
+        let (status, text) = client::request(handle.addr(), "POST", "/v1/search", &query).unwrap();
         assert_eq!(status, 200);
         let hits: Vec<i64> = parse(&text)["results"]
             .as_array()
@@ -339,81 +339,93 @@ fn metrics_segment_gauges_move_with_live_inserts_and_compaction() {
         assert!(hits.iter().any(|&d| d >= 3), "a live-inserted doc ranks: {hits:?}");
 
         // Deleting tombstones without renumbering; the id 404s afterwards.
-        let (status, text) = client::request(handle.addr(), "DELETE", "/docs/0", "").unwrap();
+        let (status, text) = client::request(handle.addr(), "DELETE", "/v1/docs/0", "").unwrap();
         assert_eq!(status, 200, "{text}");
-        let (status, _) = client::request(handle.addr(), "DELETE", "/docs/0", "").unwrap();
+        let (status, _) = client::request(handle.addr(), "DELETE", "/v1/docs/0", "").unwrap();
         assert_eq!(status, 404, "double delete");
         let (docs, _, tombstones, _) = gauges("after delete");
         assert_eq!(docs, 5);
         assert_eq!(tombstones, 1);
 
         // Mutation-route error handling.
-        let (status, _) = client::request(handle.addr(), "DELETE", "/docs/zero", "").unwrap();
+        let (status, _) = client::request(handle.addr(), "DELETE", "/v1/docs/zero", "").unwrap();
         assert_eq!(status, 400, "non-numeric id");
-        let (status, _) = client::request(handle.addr(), "GET", "/docs/0", "").unwrap();
+        let (status, _) = client::request(handle.addr(), "GET", "/v1/docs/0", "").unwrap();
         assert_eq!(status, 405, "wrong method on /docs/<id>");
         let (status, _) =
-            client::request(handle.addr(), "POST", "/docs", r#"{"body": "x"}"#).unwrap();
+            client::request(handle.addr(), "POST", "/v1/docs", r#"{"body": "x"}"#).unwrap();
         assert_eq!(status, 400, "unknown insert field");
     });
 }
 
 #[test]
-fn v1_prefix_routes_and_legacy_paths_carry_deprecation_header() {
+fn bare_paths_get_the_typed_404_and_v1_carries_no_deprecation_header() {
     let fixture = Fixture::new(19);
     with_server(ServeConfig::default(), &fixture, |handle, _| {
         let body = format!(r#"{{"query": "news about {}"}}"#, fixture.country);
         let has_deprecation = |headers: &[(String, String)]| {
             headers
                 .iter()
-                .any(|(n, v)| n.eq_ignore_ascii_case("deprecation") && v == "true")
+                .any(|(n, _)| n.eq_ignore_ascii_case("deprecation"))
+        };
+        let assert_not_found = |status: u16, text: &str, what: &str| {
+            assert_eq!(status, 404, "{what}: {text}");
+            let v = parse(text);
+            assert_eq!(v["error"]["code"], "not_found", "{what}: {text}");
+            assert!(v["error"]["message"].as_str().is_some(), "{what}: {text}");
         };
 
-        // The versioned path is the canonical surface: no deprecation.
+        // The versioned path is the only surface.
         let (status, headers, text) =
             client::request_with_headers(handle.addr(), "POST", "/v1/search", &body).unwrap();
         assert_eq!(status, 200, "body: {text}");
         assert!(!has_deprecation(&headers), "headers: {headers:?}");
-        let v1_results = parse(&text)["results"].as_array().unwrap().len();
-
-        // The legacy alias answers identically but flags itself.
-        let (status, headers, text) =
-            client::request_with_headers(handle.addr(), "POST", "/search", &body).unwrap();
-        assert_eq!(status, 200);
-        assert!(has_deprecation(&headers), "headers: {headers:?}");
-        assert_eq!(parse(&text)["results"].as_array().unwrap().len(), v1_results);
-
-        // Observability endpoints route under /v1 too.
+        assert!(!parse(&text)["results"].as_array().unwrap().is_empty());
         let (status, headers, text) =
             client::request_with_headers(handle.addr(), "GET", "/v1/healthz", "").unwrap();
         assert_eq!(status, 200);
-        assert!(!has_deprecation(&headers));
+        assert!(!has_deprecation(&headers), "headers: {headers:?}");
         assert_eq!(parse(&text)["status"], "ok");
-        let (status, _, _) =
+        let (status, headers, _) =
             client::request_with_headers(handle.addr(), "GET", "/v1/metrics", "").unwrap();
         assert_eq!(status, 200);
+        assert!(!has_deprecation(&headers), "headers: {headers:?}");
 
-        // Errors are typed envelopes with machine-readable codes.
+        // Every retired unversioned alias — and every internal route
+        // without its prefix — gets the typed 404, with no header.
+        for (method, path, body) in [
+            ("POST", "/search", body.as_str()),
+            ("POST", "/search/batch", r#"{"requests": []}"#),
+            ("POST", "/docs", r#"{"text": "x"}"#),
+            ("DELETE", "/docs/0", ""),
+            ("POST", "/admin/snapshot", ""),
+            ("GET", "/healthz", ""),
+            ("GET", "/metrics", ""),
+            ("POST", "/internal/search", "{}"),
+            ("GET", "/", ""),
+            ("GET", "/v1", ""),
+            ("GET", "/v1search", ""),
+        ] {
+            let (status, headers, text) =
+                client::request_with_headers(handle.addr(), method, path, body).unwrap();
+            assert_not_found(status, &text, &format!("{method} {path}"));
+            assert!(!has_deprecation(&headers), "{method} {path}: {headers:?}");
+        }
+
+        // Errors under /v1 stay typed envelopes with machine-readable codes.
         let (status, _, text) =
             client::request_with_headers(handle.addr(), "POST", "/v1/search", "{oops").unwrap();
         assert_eq!(status, 400);
         let v = parse(&text);
         assert_eq!(v["error"]["code"], "bad_request");
         assert!(v["error"]["message"].as_str().is_some());
-        let (status, headers, text) =
+        let (status, _, text) =
             client::request_with_headers(handle.addr(), "GET", "/v1/nope", "").unwrap();
-        assert_eq!(status, 404);
-        assert_eq!(parse(&text)["error"]["code"], "not_found");
-        // An unknown path is not a legacy alias of anything.
-        assert!(!has_deprecation(&headers));
+        assert_not_found(status, &text, "GET /v1/nope");
         let (status, _, text) =
             client::request_with_headers(handle.addr(), "GET", "/v1/search", "").unwrap();
         assert_eq!(status, 405);
         assert_eq!(parse(&text)["error"]["code"], "method_not_allowed");
-        // "/v1" alone names no endpoint.
-        let (status, _, _) =
-            client::request_with_headers(handle.addr(), "GET", "/v1", "").unwrap();
-        assert_eq!(status, 404);
     });
 }
 
@@ -429,7 +441,7 @@ fn graceful_shutdown_drains_in_flight_requests() {
         slow.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
         use std::io::Write;
         let head = format!(
-            "POST /search HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+            "POST /v1/search HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
             body.len()
         );
         slow.write_all(head.as_bytes()).unwrap();

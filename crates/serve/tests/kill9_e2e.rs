@@ -102,7 +102,7 @@ fn parse(body: &str) -> Value {
 }
 
 fn metrics(addr: SocketAddr) -> Value {
-    let (status, text) = client::request(addr, "GET", "/metrics", "").expect("GET /metrics");
+    let (status, text) = client::request(addr, "GET", "/v1/metrics", "").expect("GET /v1/metrics");
     assert_eq!(status, 200, "{text}");
     parse(&text)
 }
@@ -142,10 +142,10 @@ fn sigkill_loses_no_acknowledged_mutation(storage: &str) {
 
     for i in 0..3 {
         let body = format!(r#"{{"text": "Survivor document number {i}."}}"#);
-        let (status, text) = client::request(addr, "POST", "/docs", &body).expect("POST /docs");
+        let (status, text) = client::request(addr, "POST", "/v1/docs", &body).expect("POST /v1/docs");
         assert_eq!(status, 200, "insert {i}: {text}");
     }
-    let (status, text) = client::request(addr, "DELETE", "/docs/0", "").expect("DELETE");
+    let (status, text) = client::request(addr, "DELETE", "/v1/docs/0", "").expect("DELETE");
     assert_eq!(status, 200, "{text}");
     let v = metrics(addr);
     assert_eq!(v["index"]["docs"], 14u64);
@@ -166,7 +166,7 @@ fn sigkill_loses_no_acknowledged_mutation(storage: &str) {
     assert_eq!(v["durability"]["degraded"], false, "{v:?}");
     assert_eq!(v["durability"]["backend"], storage, "{v:?}");
 
-    let (status, text) = client::request(addr, "GET", "/healthz", "").expect("GET /healthz");
+    let (status, text) = client::request(addr, "GET", "/v1/healthz", "").expect("GET /v1/healthz");
     assert_eq!(status, 200);
     assert_eq!(parse(&text)["status"], "ok");
 
@@ -174,12 +174,12 @@ fn sigkill_loses_no_acknowledged_mutation(storage: &str) {
     let (status, text) = client::request(
         addr,
         "POST",
-        "/search",
+        "/v1/search",
         r#"{"query": "survivor document", "k": 14}"#,
     )
-    .expect("POST /search");
+    .expect("POST /v1/search");
     assert_eq!(status, 200, "{text}");
-    let (status, _) = client::request(addr, "DELETE", "/docs/0", "").expect("DELETE again");
+    let (status, _) = client::request(addr, "DELETE", "/v1/docs/0", "").expect("DELETE again");
     assert_eq!(status, 404, "doc 0 stayed deleted across the kill");
 
     child.kill().expect("cleanup kill");

@@ -33,7 +33,6 @@
 //! table) is still readable; writers always emit version 2.
 
 use std::io::{self, Read, Write};
-use std::path::Path;
 use std::sync::OnceLock;
 
 use newslink_util::{varint, Bytes};
@@ -746,19 +745,6 @@ impl MappedColumnar {
     }
 }
 
-/// Save an index to a file.
-pub fn save_index(index: &InvertedIndex, path: &Path) -> io::Result<()> {
-    let mut f = io::BufWriter::new(std::fs::File::create(path)?);
-    write_index(index, &mut f)?;
-    f.flush()
-}
-
-/// Load an index from a file.
-pub fn load_index(path: &Path) -> io::Result<InvertedIndex> {
-    let mut f = io::BufReader::new(std::fs::File::open(path)?);
-    read_index(&mut f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1121,18 +1107,6 @@ mod tests {
         let common = back.postings_for("pakistan");
         assert!(!common.is_empty());
         assert_eq!(common.heap_bytes(), std::mem::size_of_val(common.blocks()));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let idx = sample();
-        let dir = std::env::temp_dir().join("newslink_codec_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("index.nlix");
-        save_index(&idx, &path).unwrap();
-        let back = load_index(&path).unwrap();
-        assert_eq!(back.doc_count(), 4);
         std::fs::remove_file(&path).ok();
     }
 

@@ -22,8 +22,7 @@ pub use inverted::{
 };
 pub use score::{Bm25, Scorer, TfIdfCosine};
 pub use codec::{
-    load_index, read_index, read_index_columnar, read_index_columnar_lazy, save_index,
-    write_index, write_index_columnar,
+    read_index, read_index_columnar, read_index_columnar_lazy, write_index, write_index_columnar,
 };
 pub use maxscore::{
     blended_scan, maxscore_search, maxscore_search_with, Floor, ParallelStats,

@@ -19,7 +19,7 @@
 //!   reporting (merge-friendly, quantiles from bucket bounds).
 //! - [`shutdown`] — a cloneable one-way stop bit for cooperative
 //!   drain-and-exit across worker pools.
-//! - [`crc32`] — table-driven CRC-32 (IEEE) for frame checksums in the
+//! - [`crc32`](mod@crc32) — table-driven CRC-32 (IEEE) for frame checksums in the
 //!   persistence and write-ahead-log formats.
 //! - [`failpoint`] — deterministic fail-at-byte-N / short-write / lost
 //!   unsynced-tail I/O wrappers that drive the crash-recovery test

@@ -38,8 +38,8 @@ fn main() {
 
         // 3. One search request, with explanations.
         let body = format!(r#"{{"query": "news about {country}", "k": 3, "explain": true}}"#);
-        let (status, text) = client::request(addr, "POST", "/search", &body).expect("search");
-        println!("POST /search -> {status}");
+        let (status, text) = client::request(addr, "POST", "/v1/search", &body).expect("search");
+        println!("POST /v1/search -> {status}");
         let v: serde::Value = serde_json::from_str(&text).expect("response JSON");
         for hit in v["results"].as_array().unwrap_or(&[]) {
             println!(
@@ -54,28 +54,28 @@ fn main() {
             r#"{{"requests": [{{"query": "events in {city}"}}, {{"query": "news about {country}"}}]}}"#
         );
         let (status, text) =
-            client::request(addr, "POST", "/search/batch", &body).expect("batch");
+            client::request(addr, "POST", "/v1/search/batch", &body).expect("batch");
         let v: serde::Value = serde_json::from_str(&text).expect("batch JSON");
         let responses = v["responses"].as_array().map(<[_]>::len).unwrap_or(0);
-        println!("POST /search/batch -> {status} ({responses} responses)");
+        println!("POST /v1/search/batch -> {status} ({responses} responses)");
 
         // 5. Live mutation: insert a document, then tombstone it.
         let body = format!(r#"{{"text": "Breaking update from {city} in {country}."}}"#);
-        let (status, text) = client::request(addr, "POST", "/docs", &body).expect("insert");
+        let (status, text) = client::request(addr, "POST", "/v1/docs", &body).expect("insert");
         let v: serde::Value = serde_json::from_str(&text).expect("insert JSON");
         let id = v["id"].as_i64().unwrap_or(-1);
-        println!("POST /docs -> {status} (doc {id}, {} segments)", v["index"]["segments"]);
+        println!("POST /v1/docs -> {status} (doc {id}, {} segments)", v["index"]["segments"]);
         let (status, _) =
-            client::request(addr, "DELETE", &format!("/docs/{id}"), "").expect("delete");
-        println!("DELETE /docs/{id} -> {status}");
+            client::request(addr, "DELETE", &format!("/v1/docs/{id}"), "").expect("delete");
+        println!("DELETE /v1/docs/{id} -> {status}");
 
         // 6. Health and metrics.
-        let (status, _) = client::request(addr, "GET", "/healthz", "").expect("healthz");
-        println!("GET /healthz -> {status}");
-        let (status, text) = client::request(addr, "GET", "/metrics", "").expect("metrics");
+        let (status, _) = client::request(addr, "GET", "/v1/healthz", "").expect("healthz");
+        println!("GET /v1/healthz -> {status}");
+        let (status, text) = client::request(addr, "GET", "/v1/metrics", "").expect("metrics");
         let v: serde::Value = serde_json::from_str(&text).expect("metrics JSON");
         println!(
-            "GET /metrics -> {status}: {} requests, p50 {}µs, query-cache hits {}, \
+            "GET /v1/metrics -> {status}: {} requests, p50 {}µs, query-cache hits {}, \
              {} segments / {} tombstones / {} compactions",
             v["requests_total"],
             v["latency_us"]["p50"],

@@ -12,6 +12,12 @@ cargo build --release --workspace --examples --benches
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 # Lint gate: the workspace (and its vendored shims) must be clippy-clean.
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc gate: every library crate documents warning-free (no broken,
+# ambiguous or private intra-doc links, no stray HTML). Vendored shims
+# and the `newslink` bin stay out: the bin's name collides with the lib.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --lib --offline -p newslink -p newslink-util \
+  -p newslink-kg -p newslink-nlp -p newslink-text -p newslink-embed -p newslink-core \
+  -p newslink-corpus -p newslink-baselines -p newslink-eval -p newslink-serve -p newslink-bench
 # Unsafe containment: the single audited `unsafe` module is
 # crates/util/src/mmap.rs (the storage layer's zero-copy foundation).
 # Any unsafe fn/impl/block anywhere else in the tree fails the gate,
@@ -45,7 +51,7 @@ cargo test -q -p newslink-core --test segment_prop
 # WAL tails, quarantined segments — acked mutations are never lost,
 # unacked ones never half-applied, reload never panics.
 cargo test -q -p newslink-core --test crash_recovery
-# Durable serving e2e: restart recovery, degraded /healthz, /admin/snapshot.
+# Durable serving e2e: restart recovery, degraded /v1/healthz, /v1/admin/snapshot.
 cargo test -q -p newslink-serve --test durability_e2e
 # Pruning-parity property suite: the block-max pruned evaluator must be
 # bit-identical to the exhaustive oracle across β, normalization,
