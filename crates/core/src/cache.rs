@@ -5,7 +5,7 @@
 //!
 //! - the `newslink-embed` [`EmbeddingCache`] (group memo + shared
 //!   distance maps), consulted by every per-document and per-query
-//!   embedding, from `index_corpus` worker threads and `search_batch`
+//!   embedding, from `index_corpus` worker threads and `execute_batch`
 //!   scoped threads alike;
 //! - a query memo mapping the raw query string to its finished NLP + NE
 //!   artifacts, so a repeated query skips both components entirely.

@@ -40,7 +40,7 @@ pub use config::{CacheConfig, EmbeddingModel, NewsLinkConfig};
 pub use indexer::{doc_ids, index_corpus, index_corpus_sharded, index_corpus_with, NewsLinkIndex};
 pub use pipeline::{NewsLink, QueryAnalysis};
 pub use score_explain::{explain_score, ScoreExplanation, SideExplanation, TermContribution};
-pub use searcher::{explain, search, search_batch, QueryOutcome, SearchResult};
+pub use searcher::{explain, search, QueryOutcome, SearchResult};
 pub use segment::{IndexSegment, IndexStats, Side, SideOverlay};
 pub use directory::{Directory, FsDirectory, RamDirectory, StorageBackend};
 pub use persist::{

@@ -161,13 +161,12 @@ pub(crate) fn run_query(
         parallel = fan;
         ranked
     } else {
-        // Exhaustive oracle path. Both sides fan out across segments under
-        // the global-stats overlay, yielding one global-id-keyed score map
-        // per segment (disjoint keys). BOW is skipped entirely at β = 1,
-        // as in the paper's NewsLink(1).
-        let fan_threads = config.effective_threads(index.segment_count());
+        // Exhaustive oracle path, sequential. Both sides score every
+        // segment under the global-stats overlay, yielding one
+        // global-id-keyed score map per segment (disjoint keys). BOW is
+        // skipped entirely at β = 1, as in the paper's NewsLink(1).
         let mut bow_parts = if beta < 1.0 {
-            index.score_side_parts(Side::Bow, Bm25::default(), &terms, fan_threads)
+            index.score_side_parts(Side::Bow, Bm25::default(), &terms)
         } else {
             Vec::new()
         };
@@ -177,7 +176,7 @@ pub(crate) fn run_query(
         // normalization (b = 0) on the BON index.
         let mut bon_parts = if beta > 0.0 {
             let bon_bm25 = Bm25 { k1: 1.2, b: 0.0 };
-            index.score_side_parts(Side::Bon, bon_bm25, &bon_terms(&embedding), fan_threads)
+            index.score_side_parts(Side::Bon, bon_bm25, &bon_terms(&embedding))
         } else {
             Vec::new()
         };
@@ -286,47 +285,6 @@ pub(crate) fn analyze_query_text(
     }
 }
 
-/// Execute many queries in parallel (scoped threads), preserving input
-/// order. The index and graph are shared read-only; results are identical
-/// to sequential [`search`] calls. `config.threads == 0` sizes the worker
-/// pool to the machine.
-pub fn search_batch<S: AsRef<str> + Sync>(
-    graph: &KnowledgeGraph,
-    label_index: &LabelIndex,
-    config: &NewsLinkConfig,
-    index: &NewsLinkIndex,
-    queries: &[S],
-    k: usize,
-) -> Vec<QueryOutcome> {
-    run_batch(graph, label_index, config, index, None, queries, k).0
-}
-
-/// [`search_batch`] through the engine caches, additionally aggregating
-/// every per-query component timer into one batch timer with a `"batch"`
-/// entry for the whole call's wall-clock.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_batch<S: AsRef<str> + Sync>(
-    graph: &KnowledgeGraph,
-    label_index: &LabelIndex,
-    config: &NewsLinkConfig,
-    index: &NewsLinkIndex,
-    caches: Option<&EngineCaches>,
-    queries: &[S],
-    k: usize,
-) -> (Vec<QueryOutcome>, ComponentTimer) {
-    let t0 = Instant::now();
-    let threads = config.effective_threads(queries.len());
-    let outcomes = parallel_map(queries, threads, |q| {
-        run_query(graph, label_index, config, index, caches, q.as_ref(), k, None, None)
-    });
-    let mut timer = ComponentTimer::new();
-    for outcome in &outcomes {
-        timer.merge(&outcome.timer);
-    }
-    timer.record("batch", t0.elapsed());
-    (outcomes, timer)
-}
-
 /// Apply `f` to every item on `threads` scoped workers (contiguous
 /// chunks), preserving input order. `threads <= 1` runs inline.
 pub(crate) fn parallel_map<T: Sync, R: Send>(
@@ -380,6 +338,7 @@ pub fn explain(
 mod tests {
     use super::*;
     use crate::indexer::index_corpus;
+    use crate::{NewsLink, SearchRequest};
     use newslink_kg::{EntityType, GraphBuilder};
 
     fn world() -> (KnowledgeGraph, LabelIndex) {
@@ -516,27 +475,33 @@ mod tests {
         }
     }
 
+    /// `execute_batch` on `cfg`'s worker count against one `execute` call
+    /// per query on a second engine with the same config.
+    fn assert_batch_matches_sequential(cfg: NewsLinkConfig, queries: &[&str]) {
+        let (g, li) = setup();
+        let idx = index_corpus(&g, &li, &cfg, DOCS);
+        let requests: Vec<SearchRequest> =
+            queries.iter().map(|q| SearchRequest::new(*q).with_k(3)).collect();
+        let batch = NewsLink::new(&g, &li, cfg.clone()).execute_batch(&idx, &requests);
+        assert_eq!(batch.responses.len(), queries.len());
+        let sequential = NewsLink::new(&g, &li, cfg);
+        for (request, got) in requests.iter().zip(&batch.responses) {
+            let want = sequential.execute(&idx, request);
+            assert_eq!(got.results, want.results, "query {}", request.query);
+        }
+    }
+
     #[test]
     fn batch_search_matches_sequential() {
-        let (g, li) = setup();
-        let cfg = NewsLinkConfig::default().with_threads(3);
-        let idx = index_corpus(&g, &li, &cfg, DOCS);
-        let queries = [
-            "Taliban in Pakistan",
-            "Explosions near Peshawar",
-            "championship crowds",
-            "",
-        ];
-        let batch = search_batch(&g, &li, &cfg, &idx, &queries, 3);
-        assert_eq!(batch.len(), queries.len());
-        for (q, got) in queries.iter().zip(&batch) {
-            let want = search(&g, &li, &cfg, &idx, q, 3);
-            assert_eq!(got.results.len(), want.results.len(), "query {q}");
-            for (x, y) in got.results.iter().zip(&want.results) {
-                assert_eq!(x.doc, y.doc);
-                assert!((x.score - y.score).abs() < 1e-12);
-            }
-        }
+        assert_batch_matches_sequential(
+            NewsLinkConfig::default().with_threads(3),
+            &[
+                "Taliban in Pakistan",
+                "Explosions near Peshawar",
+                "championship crowds",
+                "",
+            ],
+        );
     }
 
     #[test]
@@ -584,25 +549,22 @@ mod tests {
         let cfg = NewsLinkConfig::default().with_threads(2);
         let idx = index_corpus(&g, &li, &cfg, DOCS);
         let queries = ["Taliban in Pakistan", "Explosions near Peshawar", "Kunar"];
-        let (outcomes, timer) = run_batch(&g, &li, &cfg, &idx, None, &queries, 3);
-        assert_eq!(outcomes.len(), 3);
+        let requests: Vec<SearchRequest> =
+            queries.map(|q| SearchRequest::new(q).with_k(3)).to_vec();
+        let batch = NewsLink::new(&g, &li, cfg).execute_batch(&idx, &requests);
+        assert_eq!(batch.responses.len(), 3);
         for c in ["nlp", "ne", "ns"] {
-            assert_eq!(timer.count(c), 3, "component {c}");
+            assert_eq!(batch.timer.count(c), 3, "component {c}");
         }
-        assert_eq!(timer.count("batch"), 1);
+        assert_eq!(batch.timer.count("batch"), 1);
     }
 
     #[test]
     fn auto_threads_batch_matches_sequential() {
-        let (g, li) = setup();
-        let cfg = NewsLinkConfig::default().with_auto_threads();
-        let idx = index_corpus(&g, &li, &cfg, DOCS);
-        let queries = ["Taliban in Pakistan", "championship crowds"];
-        let batch = search_batch(&g, &li, &cfg, &idx, &queries, 3);
-        for (q, got) in queries.iter().zip(&batch) {
-            let want = search(&g, &li, &cfg, &idx, q, 3);
-            assert_eq!(got.results, want.results, "query {q}");
-        }
+        assert_batch_matches_sequential(
+            NewsLinkConfig::default().with_auto_threads(),
+            &["Taliban in Pakistan", "championship crowds"],
+        );
     }
 
     #[test]

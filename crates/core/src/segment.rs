@@ -33,7 +33,7 @@ use std::sync::OnceLock;
 
 use newslink_embed::{bon_term_counts, codec as embed_codec, DocEmbedding};
 use newslink_text::{
-    blended_scan, maxscore_search_with, query_tf, score_segment, Bm25, CollectionStats,
+    blended_scan, query_tf, score_segment, Bm25, CollectionStats,
     DocId, IndexBuilder, InvertedIndex, ParallelStats, PruneStats, SharedFloor, SideSpec, TermId,
 };
 use newslink_util::{Bytes, FxHashMap, FxHashSet, TopK};
@@ -617,71 +617,34 @@ impl NewsLinkIndex {
         }
     }
 
-    /// Fan out one side's scoring across segments under the global-stats
-    /// overlay. Returns one global-id-keyed score map per segment, in
-    /// segment order; `threads > 1` scores segments in parallel (results
-    /// are identical — each map is computed independently). Query state
-    /// (overlay stats, term frequencies, live document frequencies) is
-    /// resolved once through [`SideWork`] and shared by every segment.
+    /// Score one side of every segment under the global-stats overlay —
+    /// the exhaustive oracle the pruned evaluator is checked against.
+    /// Returns one global-id-keyed score map per segment, in segment
+    /// order. Query state (overlay stats, term frequencies, live document
+    /// frequencies) is resolved once through [`SideWork`] and shared by
+    /// every segment.
     pub(crate) fn score_side_parts(
         &self,
         side: Side,
         scorer: Bm25,
         query_terms: &[String],
-        threads: usize,
     ) -> Vec<FxHashMap<DocId, f64>> {
         let Some(w) = self.side_work(side, scorer, query_terms, true) else {
             return Vec::new();
         };
-        let score_one = |seg: &IndexSegment| -> FxHashMap<DocId, f64> {
-            let live = self.liveness(seg);
-            let local = score_segment(w.scorer, seg.side(side), w.stats, &w.qtf, &w.global_df, |d| {
-                live.is_live(d)
-            });
-            local
-                .into_iter()
-                .map(|(d, s)| (DocId(seg.global_of(d)), s))
-                .collect()
-        };
-        if threads <= 1 || self.segments.len() < 2 {
-            self.segments.iter().map(score_one).collect()
-        } else {
-            crate::searcher::parallel_map(&self.segments, threads, score_one)
-        }
-    }
-
-    /// BM25 top-k over the BOW side only — the "plain Lucene" view of the
-    /// segmented index. Each segment runs MaxScore under the global-stats
-    /// overlay; per-segment winners merge through one more
-    /// `newslink_util::TopK`, so ties still resolve toward lower ids.
-    pub fn bow_topk<S: AsRef<str>>(&self, query_terms: &[S], k: usize) -> Vec<(DocId, f64)> {
-        if k == 0 {
-            return Vec::new();
-        }
-        let terms: Vec<String> = query_terms.iter().map(|t| t.as_ref().to_string()).collect();
-        let Some(w) = self.side_work(Side::Bow, Bm25::default(), &terms, true) else {
-            return Vec::new();
-        };
-        let mut merged = TopK::new(k);
-        for seg in &self.segments {
-            let live = self.liveness(seg);
-            let hits = maxscore_search_with(
-                seg.bow(),
-                w.scorer,
-                &terms,
-                k,
-                w.stats,
-                |t| w.global_df.get(t).copied().unwrap_or(0),
-                |d| live.is_live(d),
-            );
-            for h in hits {
-                merged.push(h.score, DocId(seg.global_of(h.doc)));
-            }
-        }
-        merged
-            .into_sorted()
-            .into_iter()
-            .map(|(score, doc)| (doc, score))
+        self.segments
+            .iter()
+            .map(|seg| {
+                let live = self.liveness(seg);
+                let local =
+                    score_segment(w.scorer, seg.side(side), w.stats, &w.qtf, &w.global_df, |d| {
+                        live.is_live(d)
+                    });
+                local
+                    .into_iter()
+                    .map(|(d, s)| (DocId(seg.global_of(d)), s))
+                    .collect()
+            })
             .collect()
     }
 
@@ -1244,27 +1207,6 @@ mod tests {
         assert_eq!(s1.segments, 1);
         assert_eq!(s1.tombstones, 0);
         assert_eq!(s1.compactions, 2);
-    }
-
-    #[test]
-    fn bow_topk_matches_monolithic_bm25() {
-        let (g, li) = world();
-        let mono = index_corpus(&g, &li, &NewsLinkConfig::default(), DOCS);
-        let sharded = index_corpus(
-            &g,
-            &li,
-            &NewsLinkConfig::default().with_segment_docs(2),
-            DOCS,
-        );
-        let query = ["kunar", "khyber", "pakistan"];
-        let a = mono.bow_topk(&query, 4);
-        let b = sharded.bow_topk(&query, 4);
-        assert!(!a.is_empty());
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.0, y.0);
-            assert!((x.1 - y.1).abs() < 1e-12);
-        }
     }
 
     /// The empty-tombstone fast path ([`Liveness::All`]) and the hash

@@ -19,9 +19,9 @@
 //! root id, as in [`find_lcag`]), and the shortest-path DAG is rebuilt
 //! from the tightness condition `D(u) + w(u, v) = D(v)` — the same edge
 //! set the frontier search retains. Configurations whose outcome depends
-//! on traversal *timing* rather than distances (wall-clock timeouts, the
-//! `single_path` ablation, binding `max_settled` budgets) fall back to the
-//! uncached search so results stay bit-identical in every configuration.
+//! on traversal *order* rather than distances (the `single_path`
+//! ablation, binding `max_settled` budgets) fall back to the uncached
+//! search so results stay bit-identical in every configuration.
 
 use std::sync::Arc;
 
@@ -162,9 +162,9 @@ fn lcag_via_distances(
     config: &SearchConfig,
     dcache: &DistanceCache,
 ) -> Option<Result<CommonAncestorGraph, EmbedError>> {
-    // Timing-dependent configurations are not reproducible from distance
+    // Order-dependent configurations are not reproducible from distance
     // maps alone; let the frontier search own them.
-    if config.timeout.is_some() || config.single_path {
+    if config.single_path {
         return None;
     }
     if labels.is_empty() {

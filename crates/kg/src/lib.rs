@@ -27,7 +27,6 @@ pub mod graph;
 pub mod ingest;
 pub mod interner;
 pub mod label_index;
-pub mod ntriples;
 pub mod reweight;
 pub mod stats;
 pub mod synth;
@@ -43,7 +42,6 @@ pub use ingest::{ingest_tsv, write_graph_tsv, IngestConfig, IngestError, IngestR
 pub use label_index::{
     normalize_label, HashLabelIndex, LabelIndex, LabelResolver, Postings, ResolverBackend,
 };
-pub use ntriples::{read_ntriples, NtConfig};
 pub use reweight::{reweight, reweight_by_predicate_rarity};
 pub use stats::GraphStats;
 pub use traverse::{bfs_distances, connected_components, dijkstra_distances, is_connected};

@@ -24,8 +24,5 @@ pub use score::{Bm25, Scorer, TfIdfCosine};
 pub use codec::{
     read_index, read_index_columnar, read_index_columnar_lazy, write_index, write_index_columnar,
 };
-pub use maxscore::{
-    blended_scan, maxscore_search, maxscore_search_with, Floor, ParallelStats,
-    PruneStats, SharedFloor, SideSpec,
-};
+pub use maxscore::{blended_scan, Floor, ParallelStats, PruneStats, SharedFloor, SideSpec};
 pub use search::{query_tf, score_segment, Hit, Searcher};

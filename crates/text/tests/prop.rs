@@ -3,7 +3,11 @@
 
 use proptest::prelude::*;
 
-use newslink_text::{maxscore_search, read_index, write_index, Bm25, IndexBuilder, Searcher};
+use newslink_text::{
+    blended_scan, query_tf, read_index, write_index, Bm25, CollectionStats, IndexBuilder,
+    PruneStats, Searcher, SideSpec,
+};
+use newslink_util::TopK;
 
 /// Strategy: a corpus of small documents over a tiny vocabulary (so terms
 /// collide across documents and scoring paths are exercised).
@@ -24,7 +28,9 @@ fn query_strategy() -> impl Strategy<Value = Vec<String>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// MaxScore pruning returns exactly the exhaustive top-k.
+    /// The block-max pruned scan with a BOW side alone at β = 0 returns
+    /// exactly the exhaustive BM25 top-k: same documents, same order,
+    /// same score bits.
     #[test]
     fn maxscore_equals_exhaustive(docs in corpus_strategy(), query in query_strategy(), k in 1usize..8) {
         let mut b = IndexBuilder::new();
@@ -33,11 +39,30 @@ proptest! {
         }
         let index = b.build();
         let naive = Searcher::new(&index, Bm25::default()).search(&query, k);
-        let pruned = maxscore_search(&index, Bm25::default(), &query, k);
+
+        let dict = index.dictionary();
+        let terms = query_tf(&query)
+            .into_iter()
+            .filter_map(|(t, q)| dict.get(t).map(|id| (index.postings(id), q, dict.doc_freq(id))))
+            .collect();
+        let spec = SideSpec {
+            index: &index,
+            scorer: Bm25::default(),
+            stats: CollectionStats::from_index(&index),
+            terms,
+            norm: 1.0,
+        };
+        let mut topk = TopK::new(k);
+        let mut stats = PruneStats::default();
+        let no_floor = f64::NEG_INFINITY;
+        blended_scan(Some(&spec), None, 0.0, &no_floor, |_| true, |d| d, &mut topk, &mut stats);
+        let pruned = topk.into_sorted();
+
         prop_assert_eq!(naive.len(), pruned.len());
-        for (a, b) in naive.iter().zip(&pruned) {
-            prop_assert_eq!(a.doc, b.doc);
-            prop_assert!((a.score - b.score).abs() < 1e-9);
+        for (a, (score, (doc, bow, _))) in naive.iter().zip(&pruned) {
+            prop_assert_eq!(a.doc, *doc);
+            prop_assert_eq!(a.score.to_bits(), score.to_bits());
+            prop_assert_eq!(a.score.to_bits(), bow.to_bits());
         }
     }
 

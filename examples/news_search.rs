@@ -11,7 +11,6 @@
 use newslink::core::{NewsLink, NewsLinkConfig, SearchRequest};
 use newslink::corpus::{generate_corpus, CorpusConfig, CorpusFlavor, Split};
 use newslink::kg::{synth, GraphStats, LabelIndex, SynthConfig};
-use newslink::nlp::analyze;
 
 fn main() {
     let n_docs: usize = std::env::args()
@@ -56,11 +55,9 @@ fn main() {
         if response.results.iter().any(|r| r.doc.index() == doc) {
             newslink_hits += 1;
         }
-        if index
-            .bow_topk(&analyze(query), 5)
-            .iter()
-            .any(|(hit, _)| hit.index() == doc)
-        {
+        // Equation 3 at β = 0 is plain BM25, the paper's Lucene baseline.
+        let bm25 = engine.execute(&index, &SearchRequest::new(query).with_k(5).with_beta(0.0));
+        if bm25.results.iter().any(|r| r.doc.index() == doc) {
             bm25_hits += 1;
         }
     }

@@ -7,6 +7,9 @@ cargo build --release --workspace
 # Examples and bench targets (harness = false) are not exercised by
 # `cargo test`; compile them so drift is caught here.
 cargo build --release --workspace --examples --benches
+# Run the full-pipeline example on a small corpus: it drives the engine
+# end to end and prints NewsLink(0.2) and BM25 (β = 0) HIT@5 columns.
+cargo run --release --offline --example news_search -- 100
 # The served-traffic benchmark is its own cargo workspace, so the
 # workspace build above cannot see core API changes that break it.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
